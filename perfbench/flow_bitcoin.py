@@ -11,8 +11,7 @@ import numpy as np
 
 import harness as H
 from repro.spark.flow_jobs import compute_flows, runtime_table
-from repro.spark.network import edges_df
-from repro.spark.subgraphs import cycle_paths, extract_seed_subgraphs, seed_edge_sets
+from repro.spark.subgraphs import extract_seed_subgraphs, seed_edge_sets
 
 PROFILE, SF, CAP = "bitcoin", 0.1, 800
 INPUTS = {"profile": PROFILE, "sf": SF, "max_interactions": CAP, "lp_cap": CAP}
@@ -75,48 +74,28 @@ def report(res: dict) -> dict:
 
 
 def traced(spark, st: dict, tr: H.Tracer, ref) -> dict:
-    """One pass with every Spark layer materialised (``cache().count()``)
-    in its own span, so later layers read the earlier ones from cache."""
+    """One pass with every Spark layer materialised in its own span."""
     net = st["traced_net"]
-    cached = []
-
-    def mat(df):
-        df = df.cache()
-        cached.append(df)
-        return df, df.count()
-
-    with tr.span("pass") as p:
-        with tr.span("network.edges"):
-            _, n_edges = mat(edges_df(net))
-        with tr.span("subgraphs.cycles2"):
-            _, n_c2 = mat(cycle_paths(net, 2))
-        with tr.span("subgraphs.cycles3"):
-            _, n_c3 = mat(cycle_paths(net, 3))
-        with tr.span("subgraphs.edge_sets"):
-            edge_sets, _ = mat(seed_edge_sets(net))
-        with tr.span("subgraphs.extract"):
-            sub, n_rows = mat(extract_seed_subgraphs(net, max_interactions=CAP))
-        with tr.span("flow_jobs.compute"):
-            results, _ = mat(compute_flows(sub, lp_cap=CAP))
-        with tr.span("flow_jobs.table"):
-            table = runtime_table(results).collect()
-    n_seeds = sub.select("seed").distinct().count()
-    n_candidates = edge_sets.select("seed").distinct().count()
-    pdf = results.toPandas()
-    for df in cached:
-        df.unpersist()
+    with H.Cache() as mat:
+        with tr.span("pass") as p:
+            layer = H.trace_network_layers(tr, net, mat)
+            with tr.span("subgraphs.edge_sets"):
+                edge_sets, _ = mat(seed_edge_sets(net))
+            with tr.span("subgraphs.extract"):
+                sub, n_rows = mat(extract_seed_subgraphs(net, max_interactions=CAP))
+            with tr.span("flow_jobs.compute"):
+                results, _ = mat(compute_flows(sub, lp_cap=CAP))
+            with tr.span("flow_jobs.table"):
+                table = runtime_table(results).collect()
+        n_seeds = sub.select("seed").distinct().count()
+        n_candidates = edge_sets.select("seed").distinct().count()
+        pdf = results.toPandas()
 
     compute_s = tr.seconds("flow_jobs.compute")
     worker = {m: float(np.nansum(pdf[f"ms_{m}"])) for m in H.METHODS}
     sub_stages, sub_tasks = tr.stages("subgraphs")
     flow_stages, flow_tasks = tr.stages("flow_jobs")
-    layer = {
-        "network.edges_s": tr.seconds("network.edges"),
-        "network.n_edges": n_edges,
-        "subgraphs.cycles2_s": tr.seconds("subgraphs.cycles2"),
-        "subgraphs.cycles3_s": tr.seconds("subgraphs.cycles3"),
-        "subgraphs.n_cycles2": n_c2,
-        "subgraphs.n_cycles3": n_c3,
+    layer.update({
         "subgraphs.edge_sets_s": tr.seconds("subgraphs.edge_sets"),
         "subgraphs.extract_s": tr.seconds("subgraphs.extract"),
         "subgraphs.n_rows": n_rows,
@@ -132,6 +111,6 @@ def traced(spark, st: dict, tr: H.Tracer, ref) -> dict:
         "flow_jobs.busy_frac": sum(worker.values()) / (compute_s * 1e3 * H.CORES),
         **{f"flow_jobs.n_class.{c}": int((pdf["cls"] == c).sum()) for c in "ABC"},
         **H.pipeline_metrics(pdf["cls"], {m: pdf[f"ms_{m}"] for m in H.METHODS}),
-    }
+    })
     res = {"rows": pdf, "table": table}
     return {"wall_s": p["end"] - p["start"], "layer": layer, "gate": check(st, res)}

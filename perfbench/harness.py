@@ -219,6 +219,50 @@ class Tracer:
         path.write_text(json.dumps({"trace_id": self.trace_id, "spans": self.spans}, indent=1))
 
 
+class Cache:
+    """``mat(df)`` caches and counts ``df`` for a traced pass, so that the
+    next layer reads it from cache and each span holds only its own
+    layer's work; leaving the ``with`` block unpersists them all."""
+
+    def __init__(self):
+        self.dfs = []
+
+    def __call__(self, df):
+        df = df.cache()
+        self.dfs.append(df)
+        return df, df.count()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for df in self.dfs:
+            df.unpersist()
+        return False
+
+
+def trace_network_layers(tr: Tracer, net, mat: Cache) -> dict:
+    """The edge table and the 2- and 3-hop cycle tables, each materialised
+    in its own span, with their metrics."""
+    from repro.spark.network import edges_df
+    from repro.spark.subgraphs import cycle_paths
+
+    with tr.span("network.edges"):
+        _, n_edges = mat(edges_df(net))
+    with tr.span("subgraphs.cycles2"):
+        _, n_c2 = mat(cycle_paths(net, 2))
+    with tr.span("subgraphs.cycles3"):
+        _, n_c3 = mat(cycle_paths(net, 3))
+    return {
+        "network.edges_s": tr.seconds("network.edges"),
+        "network.n_edges": n_edges,
+        "subgraphs.cycles2_s": tr.seconds("subgraphs.cycles2"),
+        "subgraphs.cycles3_s": tr.seconds("subgraphs.cycles3"),
+        "subgraphs.n_cycles2": n_c2,
+        "subgraphs.n_cycles3": n_c3,
+    }
+
+
 def stage_counts(sc, group: str) -> tuple[int, int]:
     """Stages run and tasks completed by the jobs of one job group.
 

@@ -16,10 +16,8 @@ from pyspark.sql import functions as F
 
 import harness as H
 from repro.core.patterns import ALL_PATTERNS
-from repro.spark.network import edges_df
 from repro.spark.paths import l2_table, l3_table
 from repro.spark.pattern_search import gb_search, pb_search
-from repro.spark.subgraphs import cycle_paths
 
 PROFILE, SF = "ctu13", 0.1
 PATTERNS = ("P3", "P4", "RP3")
@@ -114,48 +112,28 @@ def traced(spark, st: dict, tr: H.Tracer, ref) -> dict:
     cycle tables are cached first, so ``paths.*`` time only the per-path
     joins and greedy runs."""
     net = st["traced_net"]
-    cached = []
 
-    def mat(df):
-        df = df.cache()
-        cached.append(df)
-        return df, df.count()
+    @contextmanager
+    def clock(kind: str, name: str):
+        with tr.span(f"pattern_search.{kind}.{name}") as rec:
+            yield rec
+        rec["s"] = rec["end"] - rec["start"]
 
-    with tr.span("pass") as p:
-        with tr.span("network.edges"):
-            _, n_edges = mat(edges_df(net))
-        with tr.span("subgraphs.cycles2"):
-            _, n_c2 = mat(cycle_paths(net, 2))
-        with tr.span("subgraphs.cycles3"):
-            _, n_c3 = mat(cycle_paths(net, 3))
+    with H.Cache() as mat, tr.span("pass") as p:
+        layer = H.trace_network_layers(tr, net, mat)
         with tr.span("paths.l2"):
             l2, n_l2 = mat(l2_table(net))
         with tr.span("paths.l3"):
             l3, n_l3 = mat(l3_table(net))
-
-        @contextmanager
-        def clock(kind: str, name: str):
-            with tr.span(f"pattern_search.{kind}.{name}") as rec:
-                yield rec
-            rec["s"] = rec["end"] - rec["start"]
-
         rows = _search(net, l2, l3, clock)
-    for df in cached:
-        df.unpersist()
 
-    layer = {
-        "network.edges_s": tr.seconds("network.edges"),
-        "network.n_edges": n_edges,
-        "subgraphs.cycles2_s": tr.seconds("subgraphs.cycles2"),
-        "subgraphs.cycles3_s": tr.seconds("subgraphs.cycles3"),
-        "subgraphs.n_cycles2": n_c2,
-        "subgraphs.n_cycles3": n_c3,
+    layer.update({
         "paths.l2_s": tr.seconds("paths.l2"),
         "paths.l3_s": tr.seconds("paths.l3"),
         "paths.n_l2": n_l2,
         "paths.n_l3": n_l3,
         "paths.stages": tr.stages("paths")[0],
-    }
+    })
     for kind in ("gb", "pb"):
         layer[f"pattern_search.stages.{kind}"] = tr.stages(f"pattern_search.{kind}")[0]
         for name in PATTERNS:
