@@ -16,7 +16,7 @@ from repro.spark.subgraphs import extract_seed_subgraphs, seed_edge_sets
 PROFILE, SF, CAP = "bitcoin", 0.1, 800
 INPUTS = {"profile": PROFILE, "sf": SF, "max_interactions": CAP, "lp_cap": CAP}
 #: A set-up is a session restart and a network (~0.3 s once the JVM runs),
-#: so many are cheap; the first pass in a fresh JVM runs ~30% slower and
+#: so many are cheap; the first pass in a fresh JVM ran ~35% slower and
 #: varies more (JIT, Python worker start), so it is a warm-up.
 SETUP_REPS, WARMUP = 7, 1
 

@@ -31,8 +31,8 @@ INPUTS = {
     "traced_patterns": patterns_ctu13.INPUTS,
 }
 #: A set-up includes a Spark extraction (~5 s), so three. The timed body is
-#: plain Python with no JIT or worker start: its first pass ran within 2%
-#: of later ones on the probe, so it needs no warm-up.
+#: plain Python with no JIT or worker start: over five two-pass runs its
+#: first pass was no slower than its second, so it needs no warm-up.
 SETUP_REPS, WARMUP = 3, 0
 RUNNERS = {"greedy": run_greedy, "lp": run_lp, "pre": run_pre, "presim": run_presim}
 
