@@ -58,8 +58,8 @@ PATTERNS_BY_DATASET = {
 
 
 def run(spark: SparkSession, profile: str, sf: float = 0.1) -> list[dict]:
-    interactions = interaction_network(spark, profile=profile, sf=sf).cache()
-    interactions.count()
+    # Not cached: every entry point below checkpoints its input itself.
+    interactions = interaction_network(spark, profile=profile, sf=sf)
     l2 = l2_table(interactions).cache()
     l3 = l3_table(interactions).cache()
     l2.count(), l3.count()

@@ -2,14 +2,20 @@
 
 Flow computation is sequential *within* one subgraph (a time-ordered
 scan / one LP) but embarrassingly parallel *across* the thousands of
-extracted subgraphs, so the Spark mapping is
-``groupBy("seed").applyInPandas(...)`` — one task per group runs the
-paper's four methods (Greedy, LP, Pre, PreSim) and reports flows,
+extracted subgraphs. The Spark mapping groups the subgraph rows on a
+bucket of seeds, ``pmod(hash(seed), B)`` with ``B`` four times the
+default parallelism (`repro.spark.batched`), and each ``applyInPandas``
+call loops over its bucket's seeds. Per seed it runs the paper's four
+methods (Greedy, LP, Pre, PreSim) and reports one row: flows,
 per-method wall-clock milliseconds, and the subgraph's class:
 
 * **A** — soluble by greedy as-is (Lemma 2),
 * **B** — soluble after Algorithm-1 preprocessing,
 * **C** — still needs the LP.
+
+Buckets only cut the number of Python calls, whose fixed cost outweighed
+the flows themselves (measurements in `repro.spark.batched`); each
+``ms_*`` column still times one method on one subgraph.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from pyspark.sql import functions as F
 
 from ..core.graph import SINK, SOURCE, TemporalGraph
 from ..core.pipeline import run_all_methods
+from .batched import apply_per_key
 
 RESULT_SCHEMA = (
     "seed long, n_vertices long, n_edges long, n_interactions long, "
@@ -50,8 +57,8 @@ def _flow_one_seed(pdf: pd.DataFrame, lp_cap: int | None) -> pd.DataFrame:
 
 def compute_flows(subgraphs: DataFrame, *, lp_cap: int | None = None) -> DataFrame:
     """Run all four methods on every seed subgraph; one result row each."""
-    return subgraphs.groupBy("seed").applyInPandas(
-        lambda pdf: _flow_one_seed(pdf, lp_cap), schema=RESULT_SCHEMA
+    return apply_per_key(
+        subgraphs, ["seed"], lambda pdf: _flow_one_seed(pdf, lp_cap), RESULT_SCHEMA
     )
 
 

@@ -9,8 +9,10 @@ path family, with a ``flow`` column (the path's max flow) and a
 incremental flow computation when paths are stitched into larger
 patterns).
 
-Enumeration is Catalyst self-joins; the per-path greedy run happens in
-``applyInPandas`` over the (small) per-path interaction groups.
+Enumeration is Catalyst self-joins over the checkpointed network; the
+per-path greedy run happens in ``applyInPandas`` over the (small)
+per-path interaction groups, one Python call per bucket of paths
+(`repro.spark.batched`).
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ from pyspark.sql import functions as F
 
 from ..core.graph import SINK, SOURCE, TemporalGraph
 from ..core.greedy import greedy_sink_deliveries
-from .network import edges_df
+from .batched import apply_per_key
+from .network import checkpointed, edges_df
 from .subgraphs import cycle_paths
 
 
@@ -75,13 +78,14 @@ def _path_table(
         ", ".join(f"{c} long" for c in key_cols)
         + ", flow double, deliveries array<struct<ts: long, qty: double>>"
     )
-    return tagged.groupBy(*key_cols).applyInPandas(
-        lambda pdf: _chain_deliveries(pdf, n_hops), schema=schema
+    return apply_per_key(
+        tagged, key_cols, lambda pdf: _chain_deliveries(pdf, n_hops), schema
     )
 
 
 def l2_table(interactions: DataFrame) -> DataFrame:
     """2-hop cycle table: ``(a, b, flow, deliveries)`` for ``a→b→a``."""
+    interactions = checkpointed(interactions)
     return _path_table(
         interactions, cycle_paths(interactions, 2), [("a", "b"), ("b", "a")]
     )
@@ -89,6 +93,7 @@ def l2_table(interactions: DataFrame) -> DataFrame:
 
 def l3_table(interactions: DataFrame) -> DataFrame:
     """3-hop cycle table: ``(a, b, c, flow, deliveries)`` for ``a→b→c→a``."""
+    interactions = checkpointed(interactions)
     return _path_table(
         interactions,
         cycle_paths(interactions, 3),
@@ -101,6 +106,7 @@ def c2_table(interactions: DataFrame) -> DataFrame:
     with ``a, b, c`` pairwise distinct (precomputed for Prosper in the
     paper; chains of arbitrary endpoints were too large for the bigger
     networks)."""
+    interactions = checkpointed(interactions)
     e = edges_df(interactions)
     chains = (
         e.alias("e1")

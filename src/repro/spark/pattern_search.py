@@ -4,7 +4,10 @@
 matched by Catalyst self-joins over the distinct-edge table (the
 distributed analogue of backtracking over adjacency lists), then every
 instance's raw interactions are gathered and its maximum flow computed
-from scratch with the full PreSim pipeline in ``applyInPandas``.
+from scratch with the full PreSim pipeline in ``applyInPandas``, one
+Python call per bucket of instances (`repro.spark.batched`). The
+network is checkpointed once per search, so the self-joins plan against
+one RDD scan (`repro.spark.network.checkpointed`).
 
 **PB (preprocessing-based, Section 5.2)** — instances are assembled
 from the precomputed L2/L3/C2 path tables (`repro.spark.paths`), and
@@ -30,7 +33,13 @@ from pyspark.sql import functions as F
 from ..core.graph import SINK, SOURCE, TemporalGraph
 from ..core.patterns import Pattern
 from ..core.pipeline import run_presim
-from .network import edges_df
+from .batched import apply_per_key
+from .network import checkpointed, edges_df
+
+
+class PBNotApplicable(ValueError):
+    """PB cannot answer a pattern because a path table it needs was not
+    precomputed (the paper's "PB not applicable" rows)."""
 
 
 # --------------------------------------------------------------------------
@@ -102,9 +111,7 @@ def instances_with_flow_from_raw(
         ).select(*labels, F.lit(i).alias("__pe"), "ts", "qty")
         tagged = part if tagged is None else tagged.unionByName(part)
     schema = ", ".join(f"{l} long" for l in labels) + ", flow double"
-    return tagged.groupBy(*labels).applyInPandas(
-        _instance_flow_udf(pattern), schema=schema
-    )
+    return apply_per_key(tagged, labels, _instance_flow_udf(pattern), schema)
 
 
 def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
@@ -113,6 +120,7 @@ def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     For relaxed patterns the constituent paths are enumerated and their
     flows computed from raw interactions, then aggregated per instance
     (source vertex, or (a, c) endpoint pair for RP1)."""
+    interactions = checkpointed(interactions)
     if not pattern.relaxed:
         inst = gb_instances(interactions, pattern)
         return instances_with_flow_from_raw(interactions, pattern, inst)
@@ -154,8 +162,11 @@ def _aggregate_relaxed(per_path: DataFrame, pattern: Pattern) -> DataFrame:
             F.sum("flow").alias("flow"), F.count("*").alias("n_paths")
         )
     if pattern.name == "RP3":
-        return per_path.select("a", "b", "c", "flow").groupBy("a").applyInPandas(
-            _select_disjoint, schema="a long, flow double, n_paths long"
+        return apply_per_key(
+            per_path.select("a", "b", "c", "flow"),
+            ["a"],
+            _select_disjoint,
+            "a long, flow double, n_paths long",
         )
     raise ValueError(f"not a relaxed pattern: {pattern.name}")
 
@@ -170,28 +181,29 @@ def pb_search(
 ) -> DataFrame:
     """PB pipeline for ``pattern`` using the precomputed tables.
 
-    Raises ``ValueError`` when the needed table is missing — the paper's
-    "PB not applicable" case (P1/RP1 on Bitcoin and CTU-13, where no
-    chain table was precomputed).
+    Raises :class:`PBNotApplicable` when the needed table is missing —
+    the paper's "PB not applicable" case (P1/RP1 on Bitcoin and CTU-13,
+    where no chain table was precomputed) — and ``ValueError`` for a
+    pattern PB does not know.
     """
     name = pattern.name
     if name in ("P1", "RP1"):
         if c2 is None:
-            raise ValueError(f"PB not applicable for {name}: no C2 table")
+            raise PBNotApplicable(f"PB not applicable for {name}: no C2 table")
         per_path = c2.select("a", "b", "c", "flow")
         if name == "P1":
             return per_path
         return _aggregate_relaxed(per_path, pattern)
     if name in ("P2", "RP2"):
         if l2 is None:
-            raise ValueError(f"PB not applicable for {name}: no L2 table")
+            raise PBNotApplicable(f"PB not applicable for {name}: no L2 table")
         per_path = l2.select("a", "b", "flow")
         if name == "P2":
             return per_path
         return _aggregate_relaxed(per_path, pattern)
     if name in ("P3", "RP3"):
         if l3 is None:
-            raise ValueError(f"PB not applicable for {name}: no L3 table")
+            raise PBNotApplicable(f"PB not applicable for {name}: no L3 table")
         per_path = l3.select("a", "b", "c", "flow")
         if name == "P3":
             return per_path
@@ -200,7 +212,7 @@ def pb_search(
         # Figure 8(a): merge-join L2 and L3 on the shared source; the two
         # cycles are independent source-chains, so flows add (Lemma 3).
         if l2 is None or l3 is None:
-            raise ValueError("PB for P5 needs L2 and L3")
+            raise PBNotApplicable("PB not applicable for P5: needs L2 and L3")
         two = l2.select("a", F.col("b").alias("e"), F.col("flow").alias("flow2"))
         three = l3.select("a", "b", "c", F.col("flow").alias("flow3"))
         return (
@@ -216,7 +228,7 @@ def pb_search(
         )
     if name == "P6":
         if l3 is None:
-            raise ValueError("PB for P6 needs L3")
+            raise PBNotApplicable("PB not applicable for P6: needs L3")
         x = l3.select("a", "b", "c", F.col("flow").alias("flow1"))
         y = l3.select(
             "a", F.col("b").alias("d"), F.col("c").alias("e"), F.col("flow").alias("flow2")
@@ -240,7 +252,8 @@ def pb_search(
         # enumerate candidates from L3 + edge probes, then compute each
         # instance's flow from raw interactions with PreSim.
         if l3 is None:
-            raise ValueError("PB for P4 needs L3")
+            raise PBNotApplicable("PB not applicable for P4: needs L3")
+        interactions = checkpointed(interactions)
         e = edges_df(interactions)
         cand = (
             l3.select("a", "b", "c")
@@ -289,8 +302,8 @@ def pattern_table_row(
         ).collect()[0]
         pb_s: float | None = time.perf_counter() - t0
         pb_n, pb_avg = int(pb["n"]), pb["avg_flow"]
-    except ValueError:
-        pb_s, pb_n, pb_avg = None, None, None  # PB not applicable
+    except PBNotApplicable:
+        pb_s, pb_n, pb_avg = None, None, None
 
     return {
         "pattern": pattern.name,

@@ -4,7 +4,9 @@ The paper's flow-computation experiments extract, for each *seed*
 vertex, the union of all ≤3-hop paths that leave the seed and return to
 it, split the seed into a source copy and a sink copy, and compute the
 flow of the resulting DAG. Here the whole extraction is Catalyst
-DataFrame work:
+DataFrame work on the checkpointed network
+(`repro.spark.network.checkpointed`), so its ~10 scans of the input plan
+as RDD scans:
 
 1. self-join the distinct-edge table into 2-hop (``a→b→a``) and 3-hop
    (``a→b→c→a``) cycles;
@@ -28,7 +30,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.graph import SINK, SOURCE
-from .network import edges_df
+from .network import checkpointed, edges_df
 
 
 def cycle_paths(interactions: DataFrame, hops: int) -> DataFrame:
@@ -125,8 +127,10 @@ def extract_seed_subgraphs(
     The seed's outgoing copy becomes ``SOURCE`` (-1), its incoming copy
     ``SINK`` (-2). Seeds with more than ``max_interactions`` rows are
     dropped (paper: 10K); ``max_seeds`` keeps the lowest seed ids for a
-    deterministic cap.
+    deterministic cap. The input is checkpointed first (see
+    :func:`repro.spark.network.checkpointed`).
     """
+    interactions = checkpointed(interactions)
     edges = seed_edge_sets(interactions)
     sub = (
         edges.join(

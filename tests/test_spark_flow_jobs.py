@@ -6,7 +6,10 @@ import pytest
 from repro.core.graph import SINK, SOURCE, TemporalGraph
 from repro.core.pipeline import run_all_methods
 from repro.oracle import assert_equivalent
+from repro.spark.batched import apply_per_key
 from repro.spark.flow_jobs import (
+    RESULT_SCHEMA,
+    _flow_one_seed,
     compute_flows,
     interaction_bucket_table,
     runtime_table,
@@ -96,3 +99,34 @@ class TestBucketTable:
     def test_bucket_labels(self, flow_results):
         pdf = interaction_bucket_table(flow_results).toPandas()
         assert set(pdf["bucket"]) <= {"<100", "100-1000", ">1000"}
+
+
+class TestPerKeyBuckets:
+    """``apply_per_key`` changes how many Python calls run, not what they
+    return: per seed, the non-timing columns equal the one-call-per-seed
+    ``groupBy("seed").applyInPandas`` reference."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, subgraphs):
+        return _non_timing(
+            subgraphs.groupBy("seed")
+            .applyInPandas(lambda pdf: _flow_one_seed(pdf, None), RESULT_SCHEMA)
+            .toPandas()
+        )
+
+    @pytest.mark.parametrize("n_buckets", [1, 7, 256])
+    def test_same_rows_as_per_seed(self, subgraphs, reference, n_buckets):
+        got = apply_per_key(
+            subgraphs,
+            ["seed"],
+            lambda pdf: _flow_one_seed(pdf, None),
+            RESULT_SCHEMA,
+            n_buckets=n_buckets,
+        ).toPandas()
+        assert got["seed"].is_unique
+        pd.testing.assert_frame_equal(_non_timing(got), reference, check_exact=True)
+
+
+def _non_timing(pdf: pd.DataFrame) -> pd.DataFrame:
+    cols = [c for c in pdf.columns if not c.startswith("ms_")]
+    return pdf[cols].sort_values("seed").reset_index(drop=True)

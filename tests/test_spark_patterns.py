@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.patterns import ALL_PATTERNS
 from repro.spark.pattern_search import (
+    PBNotApplicable,
     gb_instances,
     gb_search,
     pattern_table_row,
@@ -109,7 +110,7 @@ class TestGbEqualsPb:
         assert np.allclose(gbs["flow"], pbs["flow"], atol=1e-6)
 
     def test_pb_without_tables_not_applicable(self, interactions):
-        with pytest.raises(ValueError, match="not applicable"):
+        with pytest.raises(PBNotApplicable, match="not applicable"):
             pb_search(interactions, ALL_PATTERNS["P1"])  # no C2 table
 
     def test_unknown_pattern_raises(self, interactions):
@@ -154,3 +155,13 @@ class TestHarness:
         row = pattern_table_row(interactions, ALL_PATTERNS["P1"], l2=l2, l3=l3)
         assert row["pb_seconds"] is None
         assert row["instances"] > 0
+
+    def test_pattern_table_row_other_value_error_propagates(self, interactions, l2, l3, c2):
+        # Only PBNotApplicable means "PB not applicable"; any other
+        # ValueError from PB is a fault and must not turn into a None row.
+        from repro.core.patterns import Pattern
+
+        weird = Pattern("PX", (("a", "b"),), source="a", sink="b")
+        with pytest.raises(ValueError, match="unknown pattern") as err:
+            pattern_table_row(interactions, weird, l2=l2, l3=l3, c2=c2)
+        assert not isinstance(err.value, PBNotApplicable)
