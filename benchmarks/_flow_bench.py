@@ -1,12 +1,7 @@
 """Shared body for the Table 6/7/8 flow-computation benchmarks."""
-import sys
-from pathlib import Path
+from jobs import flow_tables
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-import flow_tables  # noqa: E402
-from common import BENCH_CAP, report, report_printed, sf_for  # noqa: E402
+from .common import BENCH_CAP, report, report_printed, sf_for
 
 
 def run_flow_table(spark, benchmark, profile: str):

@@ -1,12 +1,7 @@
 """Shared body for the Table 9/10/11 pattern-search benchmarks."""
-import sys
-from pathlib import Path
+from jobs import pattern_tables
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-import pattern_tables  # noqa: E402
-from common import report, report_printed, sf_for  # noqa: E402
+from .common import report, report_printed, sf_for
 
 
 def run_pattern_table(spark, benchmark, profile: str):

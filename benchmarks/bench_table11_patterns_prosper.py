@@ -1,12 +1,7 @@
 """Table 11 — pattern search (GB vs PB) on the prosper-profile network,
 including the chain patterns P1/RP1 (Prosper is the only dataset with a
 precomputed C2 chain table, per the paper)."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from _pattern_bench import run_pattern_table  # noqa: E402
+from ._pattern_bench import run_pattern_table
 
 
 def test_table11_patterns_prosper(spark, benchmark):

@@ -1,12 +1,7 @@
 """Table 4 — dataset characteristics of the three synthetic stand-ins."""
-import sys
-from pathlib import Path
+from jobs import table4_datasets
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-import table4_datasets  # noqa: E402
-from common import BENCH_SF, report  # noqa: E402
+from .common import BENCH_SF, report
 
 
 def test_table4_dataset_stats(spark, benchmark):

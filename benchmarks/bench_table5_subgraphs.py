@@ -1,12 +1,7 @@
 """Table 5 — statistics of the extracted seed subgraphs."""
-import sys
-from pathlib import Path
+from jobs import table5_subgraphs
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "jobs"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-import table5_subgraphs  # noqa: E402
-from common import BENCH_CAP, BENCH_SF, report  # noqa: E402
+from .common import BENCH_CAP, BENCH_SF, report
 
 
 def test_table5_subgraph_stats(spark, benchmark):

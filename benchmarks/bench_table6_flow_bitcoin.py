@@ -1,10 +1,5 @@
 """Table 6 — flow-computation runtimes on the bitcoin-profile network."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from _flow_bench import run_flow_table  # noqa: E402
+from ._flow_bench import run_flow_table
 
 
 def test_table6_flow_bitcoin(spark, benchmark):

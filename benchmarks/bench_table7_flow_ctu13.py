@@ -1,10 +1,5 @@
 """Table 7 — flow-computation runtimes on the ctu13-profile network."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from _flow_bench import run_flow_table  # noqa: E402
+from ._flow_bench import run_flow_table
 
 
 def test_table7_flow_ctu13(spark, benchmark):

@@ -1,10 +1,5 @@
 """Table 8 — flow-computation runtimes on the prosper-profile network."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from _flow_bench import run_flow_table  # noqa: E402
+from ._flow_bench import run_flow_table
 
 
 def test_table8_flow_prosper(spark, benchmark):

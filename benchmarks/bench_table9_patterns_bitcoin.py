@@ -1,10 +1,5 @@
 """Table 9 — pattern search (GB vs PB) on the bitcoin-profile network."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-from _pattern_bench import run_pattern_table  # noqa: E402
+from ._pattern_bench import run_pattern_table
 
 
 def test_table9_patterns_bitcoin(spark, benchmark):

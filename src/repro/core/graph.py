@@ -81,12 +81,6 @@ class TemporalGraph:
     def n_interactions(self) -> int:
         return sum(len(seq) for seq in self.edges.values())
 
-    def out_edges(self, v: int) -> List[Edge]:
-        return [e for e in self.edges if e[0] == v]
-
-    def in_edges(self, v: int) -> List[Edge]:
-        return [e for e in self.edges if e[1] == v]
-
     def adjacency(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
         """(out-neighbours, in-neighbours) adjacency maps."""
         out: Dict[int, List[int]] = defaultdict(list)

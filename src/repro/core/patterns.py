@@ -87,6 +87,10 @@ def instance_graph(
     *graph* edges to their interaction sequences. For cyclic patterns
     the source label is split into SOURCE (tail occurrences) and SINK
     (head occurrences), mirroring the paper's seed-split DAG.
+
+    This is the one label-to-SOURCE/SINK rule: GB, PB-P4 and the
+    L2/L3/C2 path tables all build their instance graphs here, through
+    :func:`repro.spark.pattern_search.instance_flows`.
     """
     rows = []
     for lv, lu in pattern.edges:

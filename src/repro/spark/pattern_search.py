@@ -1,13 +1,20 @@
 """Flow pattern enumeration (Section 5): GB baseline vs PB precomputed.
 
-**GB (graph browsing, Section 5.1)** — the pattern's structure is
-matched by Catalyst self-joins over the distinct-edge table (the
-distributed analogue of backtracking over adjacency lists), then every
-instance's raw interactions are gathered and its maximum flow computed
-from scratch with the full PreSim pipeline in ``applyInPandas``, one
-Python call per bucket of instances (`repro.spark.batched`). The
-network is checkpointed once per search, so the self-joins plan against
-one RDD scan (`repro.spark.network.checkpointed`).
+**GB (graph browsing, Section 5.1)** — :func:`gb_instances` matches
+the pattern's structure by Catalyst self-joins over the distinct-edge
+table (the distributed analogue of backtracking over adjacency lists),
+then :func:`instance_flows` gathers every instance's raw interactions
+and computes its maximum flow from scratch with the full PreSim
+pipeline in ``applyInPandas``, one Python call per bucket of instances
+(`repro.spark.batched`). The network is checkpointed once per search,
+so the self-joins plan against one RDD scan
+(`repro.spark.network.checkpointed`).
+
+These two functions are the Spark layer's only pattern enumerator and
+only per-instance flow helper: the L2/L3/C2 path tables
+(`repro.spark.paths`) are P2/P3/P1 instances with a greedy ``fn``, and
+the extraction's 2- and 3-hop cycles (`repro.spark.subgraphs`) are P2
+and P3 instances.
 
 **PB (preprocessing-based, Section 5.2)** — instances are assembled
 from the precomputed L2/L3/C2 path tables (`repro.spark.paths`), and
@@ -23,15 +30,16 @@ Both return one row per instance with the pattern's label columns and a
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from itertools import combinations
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.graph import SINK, SOURCE, TemporalGraph
-from ..core.patterns import Pattern
+from ..core.graph import TemporalGraph
+from ..core.patterns import Pattern, instance_graph
 from ..core.pipeline import run_presim
 from .batched import apply_per_key
 from .network import checkpointed, edges_df
@@ -47,7 +55,8 @@ class PBNotApplicable(ValueError):
 # --------------------------------------------------------------------------
 def gb_instances(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     """All instances of ``pattern`` — one row per mapping, columns =
-    pattern labels (distinct labels map to distinct vertices)."""
+    pattern labels (distinct labels map to distinct vertices, so a
+    self-loop is never part of an instance)."""
     e = edges_df(interactions)
     df = None
     bound: Dict[str, str] = {}
@@ -74,44 +83,53 @@ def gb_instances(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     if pattern.canonical_lt is not None:
         lo, hi = pattern.canonical_lt
         df = df.where(F.col(bound[lo]) < F.col(bound[hi]))
-    return df.select(*[F.col(bound[l]).alias(l) for l in pattern.labels]).distinct()
+    # Edges are distinct and every edge's endpoints are labels, so the
+    # label tuple already identifies the row: no ``distinct()`` needed.
+    return df.select(*[F.col(bound[l]).alias(l) for l in pattern.labels])
 
 
-def _instance_flow_udf(pattern: Pattern):
-    """Per-instance max-flow (PreSim) from hop-tagged raw interactions."""
-    labels = pattern.labels
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for pe, ts, qty in zip(pdf["__pe"], pdf["ts"], pdf["qty"]):
-            lv, lu = pattern.edges[int(pe)]
-            v = SOURCE if lv == pattern.source else int(pdf[lv].iloc[0])
-            u = SINK if lu == pattern.sink else int(pdf[lu].iloc[0])
-            rows.append((v, u, ts, qty))
-        g = TemporalGraph.from_interactions(rows, source=SOURCE, sink=SINK)
-        flow = run_presim(g).flow
-        out = {l: int(pdf[l].iloc[0]) for l in labels}
-        out["flow"] = float(flow)
-        return pd.DataFrame([out])
-
-    return fn
-
-
-def instances_with_flow_from_raw(
-    interactions: DataFrame, pattern: Pattern, instances: DataFrame
+def instance_flows(
+    interactions: DataFrame,
+    pattern: Pattern,
+    instances: DataFrame,
+    fn: Callable[[TemporalGraph], dict],
+    schema: str,
 ) -> DataFrame:
-    """Gather each instance's interactions and compute its flow (PreSim)."""
+    """One row per instance: the label columns plus ``fn`` of its flow DAG.
+
+    Each instance is exploded into one row per pattern edge, joined once
+    to the interactions of that graph edge, and grouped per instance
+    (`repro.spark.batched.apply_per_key`); the worker builds the DAG with
+    :func:`repro.core.patterns.instance_graph`. ``fn`` returns the value
+    columns, which ``schema`` types (e.g. ``"flow double"``). The labels
+    of an instance must be distinct vertices, as :func:`gb_instances`
+    and the path tables guarantee, so each graph edge is one pattern edge.
+    """
     labels = pattern.labels
-    tagged = None
-    for i, (lv, lu) in enumerate(pattern.edges):
-        part = instances.join(
-            interactions,
-            (instances[lv] == interactions["src"])
-            & (instances[lu] == interactions["dst"]),
-        ).select(*labels, F.lit(i).alias("__pe"), "ts", "qty")
-        tagged = part if tagged is None else tagged.unionByName(part)
-    schema = ", ".join(f"{l} long" for l in labels) + ", flow double"
-    return apply_per_key(tagged, labels, _instance_flow_udf(pattern), schema)
+    hops = F.array(
+        *[
+            F.struct(F.col(lv).alias("src"), F.col(lu).alias("dst"))
+            for lv, lu in pattern.edges
+        ]
+    )
+    hop_rows = instances.select(*labels, F.inline(hops)).join(
+        interactions, ["src", "dst"]
+    )
+
+    def per_instance(pdf: pd.DataFrame) -> pd.DataFrame:
+        mapping = {l: int(pdf[l].iloc[0]) for l in labels}
+        seqs = defaultdict(list)
+        for s, d, t, q in zip(pdf["src"], pdf["dst"], pdf["ts"], pdf["qty"]):
+            seqs[(int(s), int(d))].append((t, q))
+        g = instance_graph(pattern, mapping, seqs)
+        return pd.DataFrame([{**mapping, **fn(g)}])
+
+    key_schema = ", ".join(f"{l} long" for l in labels)
+    return apply_per_key(hop_rows, labels, per_instance, f"{key_schema}, {schema}")
+
+
+def _presim_flow(g: TemporalGraph) -> dict:
+    return {"flow": float(run_presim(g).flow)}
 
 
 def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
@@ -121,12 +139,9 @@ def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     flows computed from raw interactions, then aggregated per instance
     (source vertex, or (a, c) endpoint pair for RP1)."""
     interactions = checkpointed(interactions)
-    if not pattern.relaxed:
-        inst = gb_instances(interactions, pattern)
-        return instances_with_flow_from_raw(interactions, pattern, inst)
-    paths = gb_instances(interactions, pattern)  # one row per parallel path
-    per_path = instances_with_flow_from_raw(interactions, pattern, paths)
-    return _aggregate_relaxed(per_path, pattern)
+    inst = gb_instances(interactions, pattern)  # relaxed: one row per path
+    flows = instance_flows(interactions, pattern, inst, _presim_flow, "flow double")
+    return _aggregate_relaxed(flows, pattern) if pattern.relaxed else flows
 
 
 # --------------------------------------------------------------------------
@@ -153,12 +168,9 @@ def _select_disjoint(pdf: pd.DataFrame) -> pd.DataFrame:
 
 def _aggregate_relaxed(per_path: DataFrame, pattern: Pattern) -> DataFrame:
     """Aggregate parallel-path rows into relaxed-pattern instances."""
-    if pattern.name == "RP1":
-        return per_path.groupBy("a", "c").agg(
-            F.sum("flow").alias("flow"), F.count("*").alias("n_paths")
-        )
-    if pattern.name == "RP2":
-        return per_path.groupBy("a").agg(
+    if pattern.name in ("RP1", "RP2"):
+        keys = ["a", "c"] if pattern.name == "RP1" else ["a"]
+        return per_path.groupBy(*keys).agg(
             F.sum("flow").alias("flow"), F.count("*").alias("n_paths")
         )
     if pattern.name == "RP3":
@@ -169,6 +181,12 @@ def _aggregate_relaxed(per_path: DataFrame, pattern: Pattern) -> DataFrame:
             "a long, flow double, n_paths long",
         )
     raise ValueError(f"not a relaxed pattern: {pattern.name}")
+
+
+#: The precomputed table holding each pattern's instances (P1-P3) or, for
+#: the relaxed patterns, their parallel paths (Section 5.2: C2 = P1,
+#: L2 = P2, L3 = P3).
+_PATH_TABLE = {"P1": "C2", "RP1": "C2", "P2": "L2", "RP2": "L2", "P3": "L3", "RP3": "L3"}
 
 
 def pb_search(
@@ -187,27 +205,14 @@ def pb_search(
     pattern PB does not know.
     """
     name = pattern.name
-    if name in ("P1", "RP1"):
-        if c2 is None:
-            raise PBNotApplicable(f"PB not applicable for {name}: no C2 table")
-        per_path = c2.select("a", "b", "c", "flow")
-        if name == "P1":
-            return per_path
-        return _aggregate_relaxed(per_path, pattern)
-    if name in ("P2", "RP2"):
-        if l2 is None:
-            raise PBNotApplicable(f"PB not applicable for {name}: no L2 table")
-        per_path = l2.select("a", "b", "flow")
-        if name == "P2":
-            return per_path
-        return _aggregate_relaxed(per_path, pattern)
-    if name in ("P3", "RP3"):
-        if l3 is None:
-            raise PBNotApplicable(f"PB not applicable for {name}: no L3 table")
-        per_path = l3.select("a", "b", "c", "flow")
-        if name == "P3":
-            return per_path
-        return _aggregate_relaxed(per_path, pattern)
+    if name in _PATH_TABLE:
+        table = {"C2": c2, "L2": l2, "L3": l3}[_PATH_TABLE[name]]
+        if table is None:
+            raise PBNotApplicable(
+                f"PB not applicable for {name}: no {_PATH_TABLE[name]} table"
+            )
+        per_path = table.select(*pattern.labels, "flow")
+        return _aggregate_relaxed(per_path, pattern) if pattern.relaxed else per_path
     if name == "P5":
         # Figure 8(a): merge-join L2 and L3 on the shared source; the two
         # cycles are independent source-chains, so flows add (Lemma 3).
@@ -266,7 +271,7 @@ def pb_search(
                 ["a", "b"],
             )
         )
-        return instances_with_flow_from_raw(interactions, pattern, cand)
+        return instance_flows(interactions, pattern, cand, _presim_flow, "flow double")
     raise ValueError(f"unknown pattern {name}")
 
 

@@ -5,13 +5,15 @@ vertex, the union of all ≤3-hop paths that leave the seed and return to
 it, split the seed into a source copy and a sink copy, and compute the
 flow of the resulting DAG. Here the whole extraction is Catalyst
 DataFrame work on the checkpointed network
-(`repro.spark.network.checkpointed`), so its ~10 scans of the input plan
+(`repro.spark.network.checkpointed`), so its scans of the input plan
 as RDD scans:
 
-1. self-join the distinct-edge table into 2-hop (``a→b→a``) and 3-hop
-   (``a→b→c→a``) cycles;
-2. union the constituent edges per seed, with each intermediate vertex
-   annotated by its minimal hop position over all of the seed's paths;
+1. enumerate the 2-hop (``a→b→a``) and 3-hop (``a→b→c→a``) cycles as
+   instances of patterns P2 and P3 with the one GB enumerator
+   (`repro.spark.pattern_search.gb_instances`);
+2. explode the union of both cycle families into hop rows
+   ``(seed, i, u, v)``, which give the edges per seed and each
+   intermediate vertex's minimal hop position over all of its paths;
 3. keep an intermediate edge ``(u, v)`` only when ``pos(u) < pos(v)``
    — the deterministic DAG guarantee of DESIGN.md §1(4) (Algorithm 1
    requires a DAG; unioning raw cycle paths may create intermediate
@@ -30,43 +32,20 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.graph import SINK, SOURCE
-from .network import checkpointed, edges_df
+from ..core.patterns import P2, P3
+from .network import checkpointed
+from .pattern_search import gb_instances
+
+_CYCLES = {2: P2, 3: P3}
 
 
 def cycle_paths(interactions: DataFrame, hops: int) -> DataFrame:
-    """All ``hops``-hop cycles as one row per path.
-
-    2 hops → columns ``(a, b)`` for ``a→b→a``; 3 hops → ``(a, b, c)``
-    for ``a→b→c→a`` with ``a, b, c`` pairwise distinct.
-    """
-    e = edges_df(interactions)
-    if hops == 2:
-        return (
-            e.alias("e1")
-            .join(
-                e.alias("e2"),
-                (F.col("e1.v") == F.col("e2.u")) & (F.col("e2.v") == F.col("e1.u")),
-            )
-            .select(F.col("e1.u").alias("a"), F.col("e1.v").alias("b"))
-        )
-    if hops == 3:
-        return (
-            e.alias("e1")
-            .join(e.alias("e2"), F.col("e1.v") == F.col("e2.u"))
-            .join(
-                e.alias("e3"),
-                (F.col("e2.v") == F.col("e3.u")) & (F.col("e3.v") == F.col("e1.u")),
-            )
-            .where(
-                (F.col("e2.v") != F.col("e1.u")) & (F.col("e1.v") != F.col("e2.v"))
-            )
-            .select(
-                F.col("e1.u").alias("a"),
-                F.col("e1.v").alias("b"),
-                F.col("e2.v").alias("c"),
-            )
-        )
-    raise ValueError("hops must be 2 or 3")
+    """All ``hops``-hop cycles as one row per path: the instances of P2
+    (``(a, b)`` for ``a→b→a``) or P3 (``(a, b, c)`` for ``a→b→c→a``),
+    with pairwise distinct vertices."""
+    if hops not in _CYCLES:
+        raise ValueError("hops must be 2 or 3")
+    return gb_instances(interactions, _CYCLES[hops])
 
 
 def seed_edge_sets(interactions: DataFrame) -> DataFrame:
@@ -76,41 +55,37 @@ def seed_edge_sets(interactions: DataFrame) -> DataFrame:
     endpoint and is relabeled later. Also applies the ``pos(u) <
     pos(v)`` DAG filter to intermediate edges.
     """
-    p2 = cycle_paths(interactions, 2)
-    p3 = cycle_paths(interactions, 3)
-
-    # Candidate edges per seed, tagged with endpoint hop positions
-    # (seed-out = 0, seed-in = "infinity" encoded as 9).
-    edges = (
-        p2.select(F.col("a").alias("seed"), F.col("a").alias("u"), F.col("b").alias("v"))
-        .unionByName(p2.select(F.col("a").alias("seed"), F.col("b").alias("u"), F.col("a").alias("v")))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("a").alias("u"), F.col("b").alias("v")))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("b").alias("u"), F.col("c").alias("v")))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("c").alias("u"), F.col("a").alias("v")))
-        .distinct()
+    # Every cycle as its vertex sequence, exploded into hop rows
+    # (seed, i, u, v): hop i runs from path[i] to path[i + 1].
+    paths = (
+        cycle_paths(interactions, 2)
+        .select("a", F.array("a", "b", "a").alias("path"))
+        .unionByName(
+            cycle_paths(interactions, 3)
+            .select("a", F.array("a", "b", "c", "a").alias("path"))
+        )
     )
-
-    # Minimal hop position of every intermediate vertex per seed.
-    pos = (
-        p2.select(F.col("a").alias("seed"), F.col("b").alias("w"), F.lit(1).alias("p"))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("b").alias("w"), F.lit(1).alias("p")))
-        .unionByName(p3.select(F.col("a").alias("seed"), F.col("c").alias("w"), F.lit(2).alias("p")))
-        .groupBy("seed", "w")
-        .agg(F.min("p").alias("pos"))
+    hops = paths.select(
+        F.col("a").alias("seed"),
+        F.inline(
+            F.transform(
+                F.slice("path", 1, F.size("path") - 1),
+                lambda u, i: F.struct(
+                    i.alias("i"), u.alias("u"), F.col("path")[i + 1].alias("v")
+                ),
+            )
+        ),
     )
-
+    edges = hops.select("seed", "u", "v").distinct()
+    # Minimal hop position of every vertex per seed: the seed's outgoing
+    # copy is 0 and its incoming copy "infinity", encoded as 9.
+    pos = hops.groupBy("seed", "u").agg(F.min("i").alias("pos"))
     with_pos = (
-        edges.join(
-            pos.select(F.col("seed"), F.col("w").alias("u"), F.col("pos").alias("pu")),
-            ["seed", "u"],
-            "left",
-        )
+        edges.join(pos.withColumnRenamed("pos", "pu"), ["seed", "u"])
         .join(
-            pos.select(F.col("seed"), F.col("w").alias("v"), F.col("pos").alias("pv")),
+            pos.select("seed", F.col("u").alias("v"), F.col("pos").alias("pv")),
             ["seed", "v"],
-            "left",
         )
-        .withColumn("pu", F.when(F.col("u") == F.col("seed"), 0).otherwise(F.col("pu")))
         .withColumn("pv", F.when(F.col("v") == F.col("seed"), 9).otherwise(F.col("pv")))
     )
     return with_pos.where(F.col("pu") < F.col("pv")).select("seed", "u", "v")

@@ -54,14 +54,6 @@ class TestConstruction:
 
 
 class TestAccessors:
-    def test_out_edges(self):
-        g = diamond_graph()
-        assert sorted(g.out_edges(0)) == [(0, 1), (0, 2)]
-
-    def test_in_edges(self):
-        g = diamond_graph()
-        assert sorted(g.in_edges(3)) == [(1, 3), (2, 3)]
-
     def test_adjacency(self):
         out, inc = diamond_graph().adjacency()
         assert sorted(out[0]) == [1, 2]

@@ -1,16 +1,7 @@
 """The spark-submit job entrypoints run end-to-end at tiny scale."""
-import sys
-from pathlib import Path
-
 import pytest
 
-JOBS = Path(__file__).resolve().parent.parent / "jobs"
-sys.path.insert(0, str(JOBS))
-
-import flow_tables  # noqa: E402
-import pattern_tables  # noqa: E402
-import table4_datasets  # noqa: E402
-import table5_subgraphs  # noqa: E402
+from jobs import flow_tables, pattern_tables, table4_datasets, table5_subgraphs
 
 
 class TestTable4Job:

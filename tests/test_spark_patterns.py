@@ -69,6 +69,11 @@ class TestGbEnumeration:
             map(tuple, exp.values)
         )
 
+    @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "P5", "P6"])
+    def test_no_duplicate_rows(self, name, interactions):
+        inst = gb_instances(interactions, ALL_PATTERNS[name])
+        assert inst.count() == inst.distinct().count()
+
     def test_p5_instance_count(self, interactions, l2, l3):
         # P5 = L2 x L3 on the shared source, minus overlapping vertices.
         got = gb_instances(interactions, ALL_PATTERNS["P5"]).count()

@@ -155,3 +155,28 @@ class TestSubgraphStats:
         assert row["avg_vertices"] >= 3.0
         assert row["avg_edges"] >= 2.0
         assert row["avg_interactions"] >= row["avg_edges"]
+
+
+class TestSelfLoop:
+    """A self-loop is an edge but never a hop of a cycle, chain or seed DAG."""
+
+    ROWS = [(1, 1, 5, 100.0), (1, 2, 1, 3.0), (2, 1, 2, 3.0), (2, 3, 3, 1.0), (3, 1, 4, 1.0)]
+
+    @pytest.fixture(scope="class")
+    def net(self, spark):
+        return spark.createDataFrame(self.ROWS, "src long, dst long, ts long, qty double")
+
+    def test_no_repeated_vertex(self, net):
+        from repro.spark.paths import c2_table, l2_table
+
+        for df in (cycle_paths(net, 2), l2_table(net), c2_table(net)):
+            labels = [c for c in df.columns if c not in ("flow", "deliveries")]
+            for row in df.select(*labels).collect():
+                assert len(set(row)) == len(row), row
+
+    def test_seed_flow_ignores_loop(self, net):
+        from repro.spark.flow_jobs import compute_flows
+
+        row = compute_flows(extract_seed_subgraphs(net)).where("seed = 1").collect()[0]
+        for k in ("flow_greedy", "flow_lp", "flow_presim"):
+            assert row[k] == pytest.approx(3.0), k
