@@ -96,6 +96,22 @@ def test_lp_equals_time_expanded_on_random_dags(seed):
 
 
 @pytest.mark.parametrize("seed", range(10))
+def test_lp_equals_time_expanded_at_bench_size(seed):
+    # 446-574 variables, the size of the benchmarks' larger subgraph LPs.
+    g = random_temporal_dag(
+        n_vertices=30,
+        edge_prob=0.5,
+        max_interactions_per_edge=4,
+        t_range=200,
+        integer_qty=False,
+        seed=1000 + seed,
+    )
+    assert max_flow_lp(g) == pytest.approx(
+        max_flow_time_expanded(g), abs=1e-6
+    )
+
+
+@pytest.mark.parametrize("seed", range(10))
 def test_lp_solution_respects_bounds(seed):
     from repro.lp.simplex import solve_lp_maximize
 

@@ -9,6 +9,7 @@ from repro.lp.simplex import LPResult, SimplexError, solve_lp_maximize
 
 class TestKnownLPs:
     def test_single_variable_bound(self):
+        # A lone singleton row: presolve turns it into a bound (m = 0).
         res = solve_lp_maximize([1.0], [[1.0]], [5.0])
         assert res.value == pytest.approx(5.0)
         assert res.x[0] == pytest.approx(5.0)
@@ -52,6 +53,26 @@ class TestKnownLPs:
         assert res.value == pytest.approx(36.0)
         assert res.x == pytest.approx([2.0, 6.0])
 
+    def test_beale_cycling_lp(self):
+        # Beale's example cycles under Dantzig's rule with lowest-row ties;
+        # its third row is a singleton (a bound) beside two b=0 rows.
+        res = solve_lp_maximize(
+            [0.75, -20.0, 0.5, -6.0],
+            [[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0]],
+            [0.0, 0.0, 1.0],
+        )
+        assert res.value == pytest.approx(1.25)
+        assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
+
+    def test_tightest_of_several_bounds(self):
+        # 2x <= 5, x <= 3, -x <= 0 and 0 <= 5: only x <= 2.5 binds, and
+        # presolve leaves no rows.
+        res = solve_lp_maximize(
+            [1.0], [[2.0], [1.0], [-1.0], [0.0]], [5.0, 3.0, 0.0, 5.0]
+        )
+        assert res.value == pytest.approx(2.5)
+        assert res.x == pytest.approx([2.5])
+
 
 class TestErrors:
     def test_negative_b_raises(self):
@@ -61,6 +82,11 @@ class TestErrors:
     def test_unbounded_raises(self):
         with pytest.raises(SimplexError):
             solve_lp_maximize([1.0, 1.0], [[1.0, -1.0]], [1.0])
+
+    def test_variable_without_finite_bound_unbounded(self):
+        # y's only row is a negative singleton, which bounds nothing.
+        with pytest.raises(SimplexError):
+            solve_lp_maximize([1.0, 1.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0])
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(SimplexError):
@@ -99,3 +125,46 @@ def test_random_lps_feasible_and_dominant(seed):
         x = x / max(denom, 1e-9) * rng.uniform(0, 1)
         if np.all(A @ x <= b + 1e-9):
             assert c @ x <= res.value + 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_random_boxed_lps_feasible_and_dominant(seed):
+    """Random LPs mixing one to three positive singleton rows per variable
+    (tight boxes), negative singleton rows, all-zero rows and mixed-sign
+    rows, some with b=0: feasible for the original A, b and >= random
+    feasible points."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    rows, rhs = [], []
+    for j in range(n):
+        u = rng.uniform(0.0, 2.0)
+        for _ in range(int(rng.integers(1, 4))):
+            a = rng.uniform(0.5, 2.0)
+            rows.append(a * np.eye(n)[j])
+            rhs.append(a * u * rng.uniform(1.0, 1.5))
+    for _ in range(int(rng.integers(0, 3))):
+        row = np.zeros(n)
+        row[rng.integers(n)] = -rng.uniform(0.5, 2.0)
+        rows.append(row)
+        rhs.append(rng.uniform(0.0, 1.0))
+    for _ in range(int(rng.integers(0, 2))):
+        rows.append(np.zeros(n))
+        rhs.append(rng.uniform(0.0, 1.0))
+    for _ in range(int(rng.integers(0, 6))):
+        rows.append(rng.choice([-1.0, 0.0, 1.0, 2.0], size=n))
+        rhs.append(0.0 if rng.random() < 0.3 else rng.uniform(0.0, 3.0))
+    order = rng.permutation(len(rows))
+    A, b = np.array(rows)[order], np.array(rhs)[order]
+    c = rng.uniform(-1.0, 2.0, size=n)
+    res = solve_lp_maximize(c, A, b)
+    assert np.all(A @ res.x <= b + 1e-6)
+    assert np.all(res.x >= -1e-9)
+    assert res.value == pytest.approx(float(c @ res.x), abs=1e-6)
+    for _ in range(50):
+        x = rng.uniform(0.0, 2.0, size=n)
+        load = A @ x
+        pos = load > 0
+        # Scale x towards 0 (always feasible) until every row holds.
+        x *= np.min(b[pos] / load[pos], initial=1.0) * rng.uniform(0.5, 1.0)
+        assert c @ x <= res.value + 1e-6
