@@ -4,18 +4,18 @@ Scale factors are chosen so the whole bench suite finishes in minutes
 on a 16-core laptop-class machine (DESIGN.md §1 substitution 2-3):
 SF=0.1 for the bitcoin/ctu13 profiles and SF=0.05 for prosper, whose
 profile is much denser (its path/pattern counts explode faster than
-the sparser networks'). Override with REPRO_BENCH_SF / REPRO_BENCH_CAP.
+the sparser networks'). SF and cap are fixed so that every run
+measures the same data.
 """
 import contextlib
 import io
-import os
 from pathlib import Path
 
-BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.1"))
+BENCH_SF = 0.1
 #: prosper's generator is dense; run it at half the default SF.
-BENCH_SF_PROSPER = float(os.environ.get("REPRO_BENCH_SF_PROSPER", str(BENCH_SF / 2)))
+BENCH_SF_PROSPER = 0.05
 #: per-subgraph interaction cap (the paper used 10K; see DESIGN.md).
-BENCH_CAP = int(os.environ.get("REPRO_BENCH_CAP", "800"))
+BENCH_CAP = 800
 
 
 def sf_for(profile: str) -> float:

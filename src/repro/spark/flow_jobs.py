@@ -62,25 +62,23 @@ def compute_flows(subgraphs: DataFrame, *, lp_cap: int | None = None) -> DataFra
     )
 
 
+def _method_aggs() -> list:
+    """Subgraph count and per-method average milliseconds, the columns
+    shared by the Tables 6-8 and Figure-11 summaries."""
+    return [F.count("*").alias("n_subgraphs")] + [
+        F.avg(f"ms_{m}").alias(f"{m}_ms") for m in ("greedy", "lp", "pre", "presim")
+    ]
+
+
 def runtime_table(results: DataFrame) -> DataFrame:
     """Tables 6-8 shape: All / Class A / B / C rows with per-method
     average milliseconds and subgraph counts."""
-    per_class = results.groupBy("cls").agg(
-        F.count("*").alias("n_subgraphs"),
-        F.avg("ms_greedy").alias("greedy_ms"),
-        F.avg("ms_lp").alias("lp_ms"),
-        F.avg("ms_pre").alias("pre_ms"),
-        F.avg("ms_presim").alias("presim_ms"),
+    return (
+        results.rollup("cls")
+        .agg(*_method_aggs())
+        .withColumn("cls", F.coalesce("cls", F.lit("All")))
+        .orderBy("cls")
     )
-    overall = results.agg(
-        F.lit("All").alias("cls"),
-        F.count("*").alias("n_subgraphs"),
-        F.avg("ms_greedy").alias("greedy_ms"),
-        F.avg("ms_lp").alias("lp_ms"),
-        F.avg("ms_pre").alias("pre_ms"),
-        F.avg("ms_presim").alias("presim_ms"),
-    )
-    return overall.unionByName(per_class).orderBy("cls")
 
 
 def interaction_bucket_table(results: DataFrame) -> DataFrame:
@@ -94,12 +92,6 @@ def interaction_bucket_table(results: DataFrame) -> DataFrame:
     return (
         results.withColumn("bucket", bucket)
         .groupBy("bucket")
-        .agg(
-            F.count("*").alias("n_subgraphs"),
-            F.avg("ms_greedy").alias("greedy_ms"),
-            F.avg("ms_lp").alias("lp_ms"),
-            F.avg("ms_pre").alias("pre_ms"),
-            F.avg("ms_presim").alias("presim_ms"),
-        )
+        .agg(*_method_aggs())
         .orderBy("bucket")
     )

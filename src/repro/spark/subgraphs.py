@@ -12,23 +12,27 @@ as RDD scans:
    instances of patterns P2 and P3 with the one GB enumerator
    (`repro.spark.pattern_search.gb_instances`);
 2. explode the union of both cycle families into hop rows
-   ``(seed, i, u, v)``, which give the edges per seed and each
-   intermediate vertex's minimal hop position over all of its paths;
+   ``(seed, i, u, v)``: hop ``i`` runs from path position ``i`` to
+   ``i + 1``;
 3. keep an intermediate edge ``(u, v)`` only when ``pos(u) < pos(v)``
    — the deterministic DAG guarantee of DESIGN.md §1(4) (Algorithm 1
    requires a DAG; unioning raw cycle paths may create intermediate
-   cycles);
+   cycles). ``pos(u)`` is a window ``min(i)`` over the seed's hops out
+   of ``u`` and ``pos(v)`` a window ``min(i + 1)`` over its hops into
+   ``v``, computed on the hop rows themselves, then ``distinct`` gives
+   the edge set;
 4. attach the edges' interaction sequences and relabel the seed's
    outgoing copy as ``SOURCE`` (-1) and incoming copy as ``SINK`` (-2);
-5. drop seeds whose subgraph exceeds ``max_interactions`` (the paper
-   dropped >10K-interaction subgraphs for the same reason: the direct
-   LP baseline explodes).
+5. drop seeds whose subgraph exceeds ``max_interactions`` rows, counted
+   by a window over each seed's rows (the paper dropped
+   >10K-interaction subgraphs for the same reason: the direct LP
+   baseline explodes).
 
 Returns one row per (seed, interaction): ``seed, src, dst, ts, qty``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from ..core.graph import SINK, SOURCE
@@ -76,55 +80,46 @@ def seed_edge_sets(interactions: DataFrame) -> DataFrame:
             )
         ),
     )
-    edges = hops.select("seed", "u", "v").distinct()
-    # Minimal hop position of every vertex per seed: the seed's outgoing
-    # copy is 0 and its incoming copy "infinity", encoded as 9.
-    pos = hops.groupBy("seed", "u").agg(F.min("i").alias("pos"))
-    with_pos = (
-        edges.join(pos.withColumnRenamed("pos", "pu"), ["seed", "u"])
-        .join(
-            pos.select("seed", F.col("u").alias("v"), F.col("pos").alias("pv")),
-            ["seed", "v"],
-        )
-        .withColumn("pv", F.when(F.col("v") == F.col("seed"), 9).otherwise(F.col("pv")))
+    # Minimal hop position of each endpoint per seed: the seed's outgoing
+    # copy is 0 and its incoming copy "infinity", encoded as 9. This is
+    # exact because an intermediate vertex at path position k is the head
+    # of hop k - 1 and the tail of hop k, so its minimal head position
+    # equals its minimal tail position.
+    pu = F.min("i").over(Window.partitionBy("seed", "u"))
+    pv = F.min(F.col("i") + 1).over(Window.partitionBy("seed", "v"))
+    pv = F.when(F.col("v") == F.col("seed"), 9).otherwise(pv)
+    return (
+        hops.select("seed", "u", "v", pu.alias("pu"), pv.alias("pv"))
+        .where(F.col("pu") < F.col("pv"))
+        .select("seed", "u", "v")
+        .distinct()
     )
-    return with_pos.where(F.col("pu") < F.col("pv")).select("seed", "u", "v")
 
 
 def extract_seed_subgraphs(
-    interactions: DataFrame,
-    *,
-    max_interactions: int = 800,
-    max_seeds: int | None = None,
+    interactions: DataFrame, *, max_interactions: int = 800
 ) -> DataFrame:
     """Section 6.2 extraction; returns ``(seed, src, dst, ts, qty)``.
 
     The seed's outgoing copy becomes ``SOURCE`` (-1), its incoming copy
     ``SINK`` (-2). Seeds with more than ``max_interactions`` rows are
-    dropped (paper: 10K); ``max_seeds`` keeps the lowest seed ids for a
-    deterministic cap. The input is checkpointed first (see
+    dropped (paper: 10K). The input is checkpointed first (see
     :func:`repro.spark.network.checkpointed`).
     """
     interactions = checkpointed(interactions)
     edges = seed_edge_sets(interactions)
-    sub = (
-        edges.join(
-            interactions,
-            (edges["u"] == interactions["src"]) & (edges["v"] == interactions["dst"]),
-        )
-        .select(
-            "seed",
-            F.when(F.col("u") == F.col("seed"), F.lit(SOURCE)).otherwise(F.col("u")).alias("src"),
-            F.when(F.col("v") == F.col("seed"), F.lit(SINK)).otherwise(F.col("v")).alias("dst"),
-            "ts",
-            "qty",
-        )
+    sub = edges.join(
+        interactions,
+        (edges["u"] == interactions["src"]) & (edges["v"] == interactions["dst"]),
+    ).select(
+        "seed",
+        F.when(F.col("u") == F.col("seed"), F.lit(SOURCE)).otherwise(F.col("u")).alias("src"),
+        F.when(F.col("v") == F.col("seed"), F.lit(SINK)).otherwise(F.col("v")).alias("dst"),
+        "ts",
+        "qty",
+        F.count("*").over(Window.partitionBy("seed")).alias("n_i"),
     )
-    counts = sub.groupBy("seed").agg(F.count("*").alias("n_i"))
-    keep = counts.where(F.col("n_i") <= max_interactions).select("seed")
-    if max_seeds is not None:
-        keep = keep.orderBy("seed").limit(max_seeds)
-    return sub.join(keep, "seed")
+    return sub.where(F.col("n_i") <= max_interactions).drop("n_i")
 
 
 def subgraph_stats(subgraphs: DataFrame) -> DataFrame:

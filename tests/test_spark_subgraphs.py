@@ -88,6 +88,40 @@ class TestSeedEdgeSets:
         con.close()
         assert seeds == set(expected["a"])
 
+    def test_edge_set_matches_position_oracle(self, interactions, interactions_pdf):
+        # The DAG filter as hop rows, a per-(seed, u) min-position table
+        # joined on both endpoints, and the seed as head at position 9.
+        assert_equivalent(
+            seed_edge_sets(interactions),
+            """
+            with e as (select distinct src as u, dst as v from i where src <> dst),
+            p2 as (
+              select e1.u a, e1.v b from e e1 join e e2
+                on e1.v = e2.u and e2.v = e1.u
+            ),
+            p3 as (
+              select e1.u a, e1.v b, e2.v c from e e1
+                join e e2 on e1.v = e2.u
+                join e e3 on e2.v = e3.u and e3.v = e1.u
+                where e2.v <> e1.u
+            ),
+            hops as (
+              select a seed, 0 i, a u, b v from p2 union all
+              select a, 1, b, a from p2 union all
+              select a, 0, a, b from p3 union all
+              select a, 1, b, c from p3 union all
+              select a, 2, c, a from p3
+            ),
+            pos as (select seed, u, min(i) pos from hops group by seed, u),
+            edges as (select distinct seed, u, v from hops)
+            select x.seed, x.u, x.v from edges x
+              join pos pu on pu.seed = x.seed and pu.u = x.u
+              join pos pv on pv.seed = x.seed and pv.u = x.v
+              where pu.pos < case when x.v = x.seed then 9 else pv.pos end
+            """,
+            i=interactions_pdf,
+        )
+
 
 class TestExtraction:
     def test_seed_relabelled_to_source_sink(self, subgraphs):
@@ -102,9 +136,22 @@ class TestExtraction:
         counts = capped.groupBy("seed").count().toPandas()
         assert (counts["count"] <= 50).all()
 
-    def test_max_seeds_cap(self, interactions):
-        few = extract_seed_subgraphs(interactions, max_interactions=400, max_seeds=5)
-        assert few.select("seed").distinct().count() <= 5
+    def test_interaction_cap_drops_exactly_the_large_seeds(self, interactions, subgraphs):
+        # ``subgraphs`` is capped at 400, so it stands in for the uncapped
+        # extraction of every seed up to that size. The cap is a seed size
+        # that occurs, so one seed sits exactly at it and must be kept.
+        sizes = subgraphs.groupBy("seed").count().toPandas()["count"]
+        cap = int(sizes[sizes <= 50].max())
+        assert (sizes > cap).any()
+        assert_equivalent(
+            extract_seed_subgraphs(interactions, max_interactions=cap),
+            f"""
+            select * from s where seed in (
+              select seed from s group by seed having count(*) <= {cap}
+            )
+            """,
+            s=subgraphs,
+        )
 
     def test_interactions_come_from_network(self, subgraphs, interactions_pdf):
         pdf = subgraphs.toPandas()
