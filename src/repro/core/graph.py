@@ -4,7 +4,7 @@ One ``TemporalGraph`` holds a single (sub)graph on which the paper's
 flow algorithms run: a directed graph whose edge ``(v, u)`` carries a
 time-ordered sequence of interactions ``(t, q)``. Whole networks live in
 Spark DataFrames (``repro.spark.network``); this class is the per-group
-representation used inside ``applyInPandas`` workers and unit tests.
+representation used inside the ``mapInPandas`` workers and unit tests.
 
 Seed-split convention: cyclic seed subgraphs and cyclic patterns map the
 seed vertex to a source copy ``SOURCE`` (-1) and a sink copy ``SINK``
@@ -108,7 +108,8 @@ class TemporalGraph:
     def topological_order(self) -> List[int]:
         """Kahn topological order of all vertices; raises on a cycle."""
         out, inc = self.adjacency()
-        indeg = {v: 0 for v in self.vertices}
+        vertices = self.vertices
+        indeg = {v: 0 for v in vertices}
         for u, nbrs in out.items():
             for w in nbrs:
                 indeg[w] += 1
@@ -125,7 +126,7 @@ class TemporalGraph:
                 if indeg[w] == 0 and w not in seen:
                     seen.add(w)
                     queue.append(w)
-        if len(order) != len(self.vertices):
+        if len(order) != len(vertices):
             raise ValueError("graph has a cycle; topological order undefined")
         return order
 

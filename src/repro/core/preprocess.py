@@ -38,8 +38,9 @@ def preprocess(g: TemporalGraph) -> PreprocessResult:
     s, t = h.source, h.sink
 
     # Mutable adjacency (edge -> interactions lives in h.edges).
-    out = {v: set() for v in h.vertices}
-    inc = {v: set() for v in h.vertices}
+    vertices = h.vertices
+    out = {v: set() for v in vertices}
+    inc = {v: set() for v in vertices}
     for v, u in h.edges:
         out[v].add(u)
         inc[u].add(v)

@@ -1,59 +1,77 @@
-"""Per-key pandas passes, run once per bucket of keys.
+"""Per-key passes: one Python call per core, one record per key.
 
 ``df.groupBy(key).applyInPandas(fn)`` calls the Python worker once per
 key, and every call carries a fixed cost. On the 481 bitcoin seed
 subgraphs at SF 0.1 a trivial ``fn`` took 4.6-7.9 s that way, against
-1.2-2.0 s when the same 481 groups were split into 16 buckets and
 0.06 s as a local loop.
-:func:`apply_per_key` therefore groups on a hash bucket of the key and
-loops over the bucket's keys in pandas: the per-key function and its
-output are unchanged, only the number of Python calls drops.
+
+:func:`apply_per_key` therefore hash-partitions the rows on the key into
+exactly ``defaultParallelism`` partitions, sorts each partition by the
+key and makes one ``mapInPandas`` call per partition. The call splits
+its rows at the key boundaries and calls ``fn`` once per key; ``fn``
+returns a record (a ``dict``) and the partition's records become one
+frame.
+
+The exchange is ``REPARTITION_BY_NUM``, which adaptive query execution
+never coalesces. A ``groupBy`` on a hash bucket of the key plans an
+``ENSURE_REQUIREMENTS`` exchange instead, and AQE merges such a small
+shuffle (the 481 seed subgraphs are ~0.5 MB, under its 1 MB
+``minPartitionSize``) into a single task, so the whole pass ran on one
+core. One partition per core, not more: every extra Python task costs
+more than the imbalance it evens out. At ``local[4]`` on a 4-vCPU VM the
+bitcoin flow pass took 0.8-1.0 s with one partition per core, 1.1-1.5 s
+with two and 1.6-2.0 s with four.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Dict, Sequence, Tuple
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql.types import StructType
 
-#: Buckets per unit of the session's default parallelism. Measured with
-#: ``perfbench/run.py --workload flow-bitcoin`` at ``local[4]`` on a
-#: 4-vCPU VM, seeds 3/4/5, end-to-end seconds: x2 12.3/12.6/10.4,
-#: x4 10.7/9.3/9.5, x16 11.7/12.3/12.2. Too few buckets leave cores idle
-#: behind the bucket holding the heaviest seed (its LP alone takes ~2.3 s);
-#: too many bring back the per-call cost.
-BUCKETS_PER_CORE = 4
-
-_BUCKET = "__bucket"
+#: ``fn(key, columns)``: the key's values and its rows' column arrays.
+PerKeyFn = Callable[[Tuple, Dict[str, np.ndarray]], dict]
 
 
 def apply_per_key(
-    df: DataFrame,
-    keys: Sequence[str],
-    fn: Callable[[pd.DataFrame], pd.DataFrame],
-    schema: str,
-    *,
-    n_buckets: int | None = None,
+    df: DataFrame, keys: Sequence[str], fn: PerKeyFn, schema: str
 ) -> DataFrame:
-    """Same rows as ``df.groupBy(*keys).applyInPandas(fn, schema)``.
+    """One row per distinct ``keys`` value of ``df``, typed by ``schema``.
 
-    ``fn`` still sees exactly the rows of one key (all of ``df``'s
-    columns), but the Python worker is called once per bucket
-    ``pmod(hash(keys), n_buckets)``. ``n_buckets`` defaults to
-    :data:`BUCKETS_PER_CORE` times ``sparkContext.defaultParallelism``.
+    ``fn(key, columns)`` gets the key as a tuple of Python values and that
+    key's rows as a ``dict`` of numpy arrays, one per column of ``df``, and
+    returns the record's value columns. The key columns are added to the
+    record, so ``schema`` names them too.
     """
-    if n_buckets is None:
-        n_buckets = BUCKETS_PER_CORE * df.sparkSession.sparkContext.defaultParallelism
     keys = list(keys)
+    names = StructType.fromDDL(schema).names
+    n = df.sparkSession.sparkContext.defaultParallelism
 
-    def per_bucket(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.drop(columns=_BUCKET)
-        groups = pdf.groupby(keys, sort=False, dropna=False)
-        return pd.concat([fn(g) for _, g in groups], ignore_index=True)
+    def per_partition(batches):
+        frames = [b for b in batches if len(b)]
+        if not frames:
+            return
+        pdf = pd.concat(frames, ignore_index=True)
+        columns = {c: pdf[c].to_numpy() for c in pdf.columns}
+        new_key = np.zeros(len(pdf), dtype=bool)
+        new_key[0] = True
+        for k in keys:
+            a = columns[k]
+            new_key[1:] |= a[1:] != a[:-1]
+        starts = np.flatnonzero(new_key)
+        ends = np.append(starts[1:], len(pdf))
+        key_values = zip(*(columns[k][starts].tolist() for k in keys))
+        records = []
+        for key, s, e in zip(key_values, starts.tolist(), ends.tolist()):
+            rec = dict(zip(keys, key))
+            rec.update(fn(key, {c: a[s:e] for c, a in columns.items()}))
+            records.append(rec)
+        yield pd.DataFrame.from_records(records, columns=names)
 
     return (
-        df.withColumn(_BUCKET, F.pmod(F.hash(*keys), F.lit(n_buckets)))
-        .groupBy(_BUCKET)
-        .applyInPandas(per_bucket, schema=schema)
+        df.repartition(n, *keys)
+        .sortWithinPartitions(*keys)
+        .mapInPandas(per_partition, schema)
     )

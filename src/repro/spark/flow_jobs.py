@@ -2,24 +2,25 @@
 
 Flow computation is sequential *within* one subgraph (a time-ordered
 scan / one LP) but embarrassingly parallel *across* the thousands of
-extracted subgraphs. The Spark mapping groups the subgraph rows on a
-bucket of seeds, ``pmod(hash(seed), B)`` with ``B`` four times the
-default parallelism (`repro.spark.batched`), and each ``applyInPandas``
-call loops over its bucket's seeds. Per seed it runs the paper's four
-methods (Greedy, LP, Pre, PreSim) and reports one row: flows,
-per-method wall-clock milliseconds, and the subgraph's class:
+extracted subgraphs. The Spark mapping hash-repartitions the subgraph
+rows on the seed into one partition per core and makes one
+``mapInPandas`` call per partition, which loops over its seeds
+(`repro.spark.batched`). Per seed it runs the paper's four methods
+(Greedy, LP, Pre, PreSim) and returns one record: flows, per-method
+wall-clock milliseconds, and the subgraph's class:
 
 * **A** — soluble by greedy as-is (Lemma 2),
 * **B** — soluble after Algorithm-1 preprocessing,
 * **C** — still needs the LP.
 
-Buckets only cut the number of Python calls, whose fixed cost outweighed
-the flows themselves (measurements in `repro.spark.batched`); each
-``ms_*`` column still times one method on one subgraph.
+One call per core only cuts the number of Python calls, whose fixed cost
+outweighed the flows themselves (measurements in `repro.spark.batched`);
+each ``ms_*`` column still times one method on one subgraph.
 """
 from __future__ import annotations
 
-import pandas as pd
+from functools import partial
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -35,30 +36,24 @@ RESULT_SCHEMA = (
 )
 
 
-def _flow_one_seed(pdf: pd.DataFrame, lp_cap: int | None) -> pd.DataFrame:
+def _flow_one_seed(_, cols: dict, lp_cap: int | None = None) -> dict:
     g = TemporalGraph.from_interactions(
-        zip(pdf["src"], pdf["dst"], pdf["ts"], pdf["qty"]),
+        zip(*(cols[c].tolist() for c in ("src", "dst", "ts", "qty"))),
         source=SOURCE,
         sink=SINK,
     )
-    row = run_all_methods(g, lp_cap=lp_cap)
-    return pd.DataFrame(
-        [
-            {
-                "seed": int(pdf["seed"].iloc[0]),
-                "n_vertices": len(g.vertices),
-                "n_edges": len(g.edges),
-                "n_interactions": g.n_interactions,
-                **row,
-            }
-        ]
-    )
+    return {
+        "n_vertices": len(g.vertices),
+        "n_edges": len(g.edges),
+        "n_interactions": g.n_interactions,
+        **run_all_methods(g, lp_cap=lp_cap),
+    }
 
 
 def compute_flows(subgraphs: DataFrame, *, lp_cap: int | None = None) -> DataFrame:
     """Run all four methods on every seed subgraph; one result row each."""
     return apply_per_key(
-        subgraphs, ["seed"], lambda pdf: _flow_one_seed(pdf, lp_cap), RESULT_SCHEMA
+        subgraphs, ["seed"], partial(_flow_one_seed, lp_cap=lp_cap), RESULT_SCHEMA
     )
 
 

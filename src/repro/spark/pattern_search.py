@@ -5,10 +5,10 @@ the pattern's structure by Catalyst self-joins over the distinct-edge
 table (the distributed analogue of backtracking over adjacency lists),
 then :func:`instance_flows` gathers every instance's raw interactions
 and computes its maximum flow from scratch with the full PreSim
-pipeline in ``applyInPandas``, one Python call per bucket of instances
-(`repro.spark.batched`). The network is checkpointed once per search,
-so the self-joins plan against one RDD scan
-(`repro.spark.network.checkpointed`).
+pipeline in ``mapInPandas``, one Python call per core that loops over
+its partition's instances (`repro.spark.batched`). The network is
+checkpointed once per search, so the self-joins plan against one RDD
+scan (`repro.spark.network.checkpointed`).
 
 These two functions are the Spark layer's only pattern enumerator and
 only per-instance flow helper: the L2/L3/C2 path tables
@@ -34,7 +34,6 @@ from collections import defaultdict
 from itertools import combinations
 from typing import Callable, Dict, Optional
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -116,13 +115,12 @@ def instance_flows(
         interactions, ["src", "dst"]
     )
 
-    def per_instance(pdf: pd.DataFrame) -> pd.DataFrame:
-        mapping = {l: int(pdf[l].iloc[0]) for l in labels}
+    def per_instance(key: tuple, cols: dict) -> dict:
         seqs = defaultdict(list)
-        for s, d, t, q in zip(pdf["src"], pdf["dst"], pdf["ts"], pdf["qty"]):
-            seqs[(int(s), int(d))].append((t, q))
-        g = instance_graph(pattern, mapping, seqs)
-        return pd.DataFrame([{**mapping, **fn(g)}])
+        rows = zip(*(cols[c].tolist() for c in ("src", "dst", "ts", "qty")))
+        for s, d, t, q in rows:
+            seqs[(s, d)].append((t, q))
+        return fn(instance_graph(pattern, dict(zip(labels, key)), seqs))
 
     key_schema = ", ".join(f"{l} long" for l in labels)
     return apply_per_key(hop_rows, labels, per_instance, f"{key_schema}, {schema}")
@@ -147,23 +145,24 @@ def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
 # --------------------------------------------------------------------------
 # PB: assembly from precomputed path tables
 # --------------------------------------------------------------------------
-def _select_disjoint(pdf: pd.DataFrame) -> pd.DataFrame:
+def _select_disjoint(_, cols: dict) -> dict:
     """Greedy vertex-disjoint selection of 3-cycles for one source ``a``
     (flow-descending, deterministic tie-break) — honours the Section 6.3
     requirement that all intermediate vertices of a relaxed instance's
     parallel paths be different."""
-    pdf = pdf.sort_values(["flow", "b", "c"], ascending=[False, True, True])
+    paths = sorted(
+        zip(cols["flow"].tolist(), cols["b"].tolist(), cols["c"].tolist()),
+        key=lambda p: (-p[0], p[1], p[2]),
+    )
     used: set = set()
     total, n = 0.0, 0
-    for b, c, f in zip(pdf["b"], pdf["c"], pdf["flow"]):
+    for f, b, c in paths:
         if b in used or c in used:
             continue
-        used.update((int(b), int(c)))
-        total += float(f)
+        used.update((b, c))
+        total += f
         n += 1
-    return pd.DataFrame(
-        [{"a": int(pdf["a"].iloc[0]), "flow": total, "n_paths": n}]
-    )
+    return {"flow": total, "n_paths": n}
 
 
 def _aggregate_relaxed(per_path: DataFrame, pattern: Pattern) -> DataFrame:

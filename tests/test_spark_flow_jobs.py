@@ -1,4 +1,6 @@
 """Distributed flow jobs: Spark results == local core results (Tables 5-8)."""
+import re
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -63,6 +65,24 @@ class TestComputeFlows:
         assert big["flow_lp"].isna().all()
         assert big["flow_pre"].notna().all()
 
+    def test_one_partition_per_core(self, spark, subgraphs):
+        """The exchange feeding the Python stage repartitions by number
+        into ``defaultParallelism`` partitions, which AQE never coalesces
+        (an ``ENSURE_REQUIREMENTS`` exchange would be merged into one task
+        for a shuffle this small)."""
+        res = compute_flows(subgraphs)
+        res.collect()
+        plan = res._jdf.queryExecution().executedPlan().toString()
+        lines = plan.splitlines()
+        python = next(i for i, l in enumerate(lines) if "InPandas" in l)
+        exchange = next(i for i in range(python, len(lines)) if "Exchange" in lines[i])
+        n = spark.sparkContext.defaultParallelism
+        assert re.search(
+            rf"Exchange hashpartitioning\(seed#\d+L, {n}\), REPARTITION_BY_NUM",
+            lines[exchange],
+        ), plan
+        assert not any("coalesced" in l for l in lines[python:exchange]), plan
+
 
 class TestRuntimeTable:
     def test_rows_all_plus_classes(self, flow_results):
@@ -104,25 +124,33 @@ class TestBucketTable:
 class TestPerKeyBuckets:
     """``apply_per_key`` changes how many Python calls run, not what they
     return: per seed, the non-timing columns equal the one-call-per-seed
-    ``groupBy("seed").applyInPandas`` reference."""
+    ``groupBy("seed").applyInPandas`` reference, also when a seed's rows
+    straddle the Arrow batches its partition arrives in."""
 
     @pytest.fixture(scope="class")
     def reference(self, subgraphs):
+        def one_seed(pdf):
+            cols = {c: pdf[c].to_numpy() for c in pdf.columns}
+            return pd.DataFrame(
+                [{"seed": int(pdf["seed"].iloc[0]), **_flow_one_seed(None, cols)}]
+            )
+
         return _non_timing(
-            subgraphs.groupBy("seed")
-            .applyInPandas(lambda pdf: _flow_one_seed(pdf, None), RESULT_SCHEMA)
-            .toPandas()
+            subgraphs.groupBy("seed").applyInPandas(one_seed, RESULT_SCHEMA).toPandas()
         )
 
-    @pytest.mark.parametrize("n_buckets", [1, 7, 256])
-    def test_same_rows_as_per_seed(self, subgraphs, reference, n_buckets):
-        got = apply_per_key(
-            subgraphs,
-            ["seed"],
-            lambda pdf: _flow_one_seed(pdf, None),
-            RESULT_SCHEMA,
-            n_buckets=n_buckets,
-        ).toPandas()
+    @pytest.mark.parametrize("records_per_batch", [1, 7, 256])
+    def test_same_rows_as_per_seed(
+        self, spark, subgraphs, reference, records_per_batch
+    ):
+        conf = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        before = spark.conf.get(conf)
+        spark.conf.set(conf, records_per_batch)
+        try:
+            got = apply_per_key(subgraphs, ["seed"], _flow_one_seed, RESULT_SCHEMA)
+            got = got.toPandas()
+        finally:
+            spark.conf.set(conf, before)
         assert got["seed"].is_unique
         pd.testing.assert_frame_equal(_non_timing(got), reference, check_exact=True)
 

@@ -15,6 +15,11 @@ from repro.spark.pattern_search import (
 EDGES_SQL = "(select distinct src as u, dst as v from i)"
 
 GB_ORACLE_SQL = {
+    "P1": f"""
+        select e1.u a, e1.v b, e2.v c from {EDGES_SQL} e1
+        join {EDGES_SQL} e2 on e1.v=e2.u
+        where e1.u not in (e1.v, e2.v) and e1.v != e2.v
+    """,
     "P2": f"""
         select e1.u a, e1.v b from {EDGES_SQL} e1
         join {EDGES_SQL} e2 on e1.v=e2.u and e2.v=e1.u
@@ -32,6 +37,19 @@ GB_ORACLE_SQL = {
         join {EDGES_SQL} e4 on e4.u=e1.u and e4.v=e2.v
         join {EDGES_SQL} e5 on e5.u=e1.v and e5.v=e1.u
         where e1.u not in (e1.v, e2.v) and e1.v != e2.v
+    """,
+    "P5": f"""
+        select x.a, y.e, x.b, x.c from
+        (select e1.u a, e1.v b, e2.v c from {EDGES_SQL} e1
+         join {EDGES_SQL} e2 on e1.v=e2.u
+         join {EDGES_SQL} e3 on e2.v=e3.u and e3.v=e1.u
+         where e1.u not in (e1.v, e2.v) and e1.v != e2.v) x
+        join
+        (select e1.u a, e1.v e from {EDGES_SQL} e1
+         join {EDGES_SQL} e2 on e1.v=e2.u and e2.v=e1.u
+         where e1.u != e1.v) y
+        on x.a = y.a
+        where y.e not in (x.b, x.c)
     """,
     "P6": f"""
         select x.a, x.b, x.c, y.b d, y.c e from
@@ -55,7 +73,7 @@ def _sorted(pdf, keys):
 
 
 class TestGbEnumeration:
-    @pytest.mark.parametrize("name", ["P2", "P3", "P4", "P6"])
+    @pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "P5", "P6"])
     def test_instances_match_oracle(self, name, interactions, interactions_pdf):
         pattern = ALL_PATTERNS[name]
         got = gb_instances(interactions, pattern).toPandas()
