@@ -12,9 +12,10 @@ scan (`repro.spark.network.checkpointed`).
 
 These two functions are the Spark layer's only pattern enumerator and
 only per-instance flow helper: the L2/L3/C2 path tables
-(`repro.spark.paths`) are P2/P3/P1 instances with a greedy ``fn``, and
-the extraction's 2- and 3-hop cycles (`repro.spark.subgraphs`) are P2
-and P3 instances.
+(`repro.spark.paths`) are P2/P3/P1 instances with a greedy ``fn``. The
+extraction's 2- and 3-hop cycles (`repro.spark.subgraphs`) come from
+neighbour-set windows instead, a smaller plan; tests check that they
+equal the P2 and P3 instances found here.
 
 **PB (preprocessing-based, Section 5.2)** — instances are assembled
 from the precomputed L2/L3/C2 path tables (`repro.spark.paths`), and

@@ -8,25 +8,33 @@ DataFrame work on the checkpointed network
 (`repro.spark.network.checkpointed`), so its scans of the input plan
 as RDD scans:
 
-1. enumerate the 2-hop (``a→b→a``) and 3-hop (``a→b→c→a``) cycles as
-   instances of patterns P2 and P3 with the one GB enumerator
-   (`repro.spark.pattern_search.gb_instances`);
-2. explode the union of both cycle families into hop rows
-   ``(seed, i, u, v)``: hop ``i`` runs from path position ``i`` to
-   ``i + 1``;
-3. keep an intermediate edge ``(u, v)`` only when ``pos(u) < pos(v)``
-   — the deterministic DAG guarantee of DESIGN.md §1(4) (Algorithm 1
-   requires a DAG; unioning raw cycle paths may create intermediate
-   cycles). ``pos(u)`` is a window ``min(i)`` over the seed's hops out
-   of ``u`` and ``pos(v)`` a window ``min(i + 1)`` over its hops into
-   ``v``, computed on the hop rows themselves, then ``distinct`` gives
-   the edge set;
+1. enumerate the 2-hop (``a→b→a``) and 3-hop (``a→b→c→a``) cycles,
+   self-loops excluded, with two windows and no join
+   (:func:`_closed_wedges`): the first gives each edge ``c→a`` the
+   in-neighbours of ``c``, the second the out-neighbours of ``a``, and
+   their intersection is every ``b`` that closes a cycle through
+   ``c→a``. The rows come out partitioned by the seed ``a``;
+2. explode each cycle into its hops, keeping a hop ``(u, v)`` only when
+   ``pos(u) < pos(v)`` — the deterministic DAG guarantee of DESIGN.md
+   §1(4) (Algorithm 1 requires a DAG; unioning raw cycle paths may
+   create intermediate cycles). Only a 3-cycle's middle hop ``b→c`` can
+   fail it, exactly when the seed also has the edge ``a→c``;
+3. ``distinct`` gives the edge set, without a shuffle, as the rows are
+   already partitioned by seed;
 4. attach the edges' interaction sequences and relabel the seed's
    outgoing copy as ``SOURCE`` (-1) and incoming copy as ``SINK`` (-2);
 5. drop seeds whose subgraph exceeds ``max_interactions`` rows, counted
    by a window over each seed's rows (the paper dropped
    >10K-interaction subgraphs for the same reason: the direct LP
    baseline explodes).
+
+The plan is kept small for Spark's codegen cache: 100 compiled classes
+in four LRU segments of 25. A class's segment is a hash that includes
+its class loader's identity hash, so the split differs from JVM to JVM,
+and a segment that gets more than 25 of the classes a pass uses
+recompiles them on every pass. A Tables 6–8 pass (extraction, flow
+pass, ``runtime_table``) generates 63 classes with this plan, against
+106 with P2/P3 self-joins and 82 with a wedge join closed by a left join.
 
 Returns one row per (seed, interaction): ``seed, src, dst, ts, qty``.
 """
@@ -36,62 +44,100 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from ..core.graph import SINK, SOURCE
-from ..core.patterns import P2, P3
 from .network import checkpointed
-from .pattern_search import gb_instances
 
-_CYCLES = {2: P2, 3: P3}
+
+def _closed_wedges(interactions: DataFrame) -> DataFrame:
+    """Every 2- and 3-hop cycle ``a→b→c→a`` as one row ``(a, b, c, chord)``.
+
+    ``c == a`` marks a 2-cycle ``a→b→a``. For a 3-cycle, ``chord`` says
+    whether the seed also has the edge ``a→c``. Without self-loops the
+    vertices of a row are pairwise distinct exactly when ``c != a``.
+    """
+    none = F.lit(None).cast("long")
+    # Per vertex c, its in-neighbours, on the rows of its out-edges c→a.
+    # Each interaction is an out-row of its src and an in-row of its dst;
+    # shuffled by c, the distinct rows are the edges without a second
+    # shuffle (a ``distinct`` edge table first would need its own).
+    by_tail = F.array(
+        F.struct(F.col("src").alias("c"), F.col("dst").alias("a"), none.alias("w")),
+        F.struct(F.col("dst").alias("c"), none.alias("a"), F.col("src").alias("w")),
+    )
+    ins = F.collect_set("w").over(Window.partitionBy("c"))
+    edges = (
+        interactions.where(F.col("src") != F.col("dst"))
+        .select(F.inline(by_tail))
+        .repartition("c")
+        .distinct()
+        .select("c", "a", ins.alias("ins"))
+        .where(F.col("a").isNotNull())
+    )
+    # Per vertex a, its out-neighbours, on the rows of its in-edges c→a.
+    by_head = F.array(
+        F.struct("a", "c", "ins", none.alias("b")),
+        F.struct(
+            F.col("c").alias("a"),
+            none.alias("c"),
+            F.lit(None).cast("array<long>").alias("ins"),
+            F.col("a").alias("b"),
+        ),
+    )
+    outs = F.collect_set("b").over(Window.partitionBy("a"))
+    edges = (
+        edges.select(F.inline(by_head))
+        .select("a", "c", "ins", outs.alias("outs"))
+        .where(F.col("c").isNotNull())
+    )
+    # An out-neighbour b of a closes c→a→b into a 2-cycle when b == c
+    # and into a 3-cycle when b→c.
+    closers = F.array_intersect("outs", F.array_union("ins", F.array("c")))
+    b, c = F.col("b"), F.col("c")
+    return edges.select(
+        "a", "c", F.array_contains("outs", c).alias("chord"), F.explode(closers).alias("b")
+    ).select("a", "b", F.when(b == c, F.col("a")).otherwise(c).alias("c"), "chord")
 
 
 def cycle_paths(interactions: DataFrame, hops: int) -> DataFrame:
-    """All ``hops``-hop cycles as one row per path: the instances of P2
-    (``(a, b)`` for ``a→b→a``) or P3 (``(a, b, c)`` for ``a→b→c→a``),
-    with pairwise distinct vertices."""
-    if hops not in _CYCLES:
-        raise ValueError("hops must be 2 or 3")
-    return gb_instances(interactions, _CYCLES[hops])
+    """All ``hops``-hop cycles as one row per path: ``(a, b)`` for
+    ``a→b→a`` or ``(a, b, c)`` for ``a→b→c→a``, with pairwise distinct
+    vertices — the instances of patterns P2 and P3."""
+    cycles = _closed_wedges(interactions)
+    if hops == 2:
+        return cycles.where(F.col("c") == F.col("a")).select("a", "b")
+    if hops == 3:
+        return cycles.where(F.col("c") != F.col("a")).select("a", "b", "c")
+    raise ValueError("hops must be 2 or 3")
 
 
 def seed_edge_sets(interactions: DataFrame) -> DataFrame:
     """Per-seed DAG edge set: ``(seed, u, v)`` after the pos-filter.
 
     ``u`` / ``v`` are original vertex ids; the seed itself appears as an
-    endpoint and is relabeled later. Also applies the ``pos(u) <
-    pos(v)`` DAG filter to intermediate edges.
+    endpoint and is relabeled later. Each cycle of seed ``a`` gives its
+    first hop ``a→b`` and its hop back into ``a``; a 3-cycle also gives
+    its middle hop ``b→c``, unless ``a→c`` exists. That is the
+    ``pos(u) < pos(v)`` filter with ``pos`` the least hop index of a
+    vertex on the seed's cycles: the seed's out-copy is first and its
+    in-copy last, ``pos(b) = 1``, and ``pos(c)`` is 1 when ``c`` also
+    starts a cycle of ``a`` and 2 otherwise. Since ``c→a`` exists, the
+    edge ``a→c`` is exactly what makes ``a→c→a`` such a cycle.
     """
-    # Every cycle as its vertex sequence, exploded into hop rows
-    # (seed, i, u, v): hop i runs from path[i] to path[i + 1].
-    paths = (
-        cycle_paths(interactions, 2)
-        .select("a", F.array("a", "b", "a").alias("path"))
-        .unionByName(
-            cycle_paths(interactions, 3)
-            .select("a", F.array("a", "b", "c", "a").alias("path"))
-        )
+    a, b, c = F.col("a"), F.col("b"), F.col("c")
+    two = c == a
+
+    def hop(u, v):
+        return F.struct(u.alias("u"), v.alias("v"))
+
+    hops = F.array(
+        hop(a, b),
+        hop(F.when(two, b).otherwise(c), a),
+        F.when(~two & ~F.col("chord"), hop(b, c)),
     )
-    hops = paths.select(
-        F.col("a").alias("seed"),
-        F.inline(
-            F.transform(
-                F.slice("path", 1, F.size("path") - 1),
-                lambda u, i: F.struct(
-                    i.alias("i"), u.alias("u"), F.col("path")[i + 1].alias("v")
-                ),
-            )
-        ),
-    )
-    # Minimal hop position of each endpoint per seed: the seed's outgoing
-    # copy is 0 and its incoming copy "infinity", encoded as 9. This is
-    # exact because an intermediate vertex at path position k is the head
-    # of hop k - 1 and the tail of hop k, so its minimal head position
-    # equals its minimal tail position.
-    pu = F.min("i").over(Window.partitionBy("seed", "u"))
-    pv = F.min(F.col("i") + 1).over(Window.partitionBy("seed", "v"))
-    pv = F.when(F.col("v") == F.col("seed"), 9).otherwise(pv)
     return (
-        hops.select("seed", "u", "v", pu.alias("pu"), pv.alias("pv"))
-        .where(F.col("pu") < F.col("pv"))
-        .select("seed", "u", "v")
+        _closed_wedges(interactions)
+        .select(a.alias("seed"), F.explode(hops).alias("h"))
+        .where(F.col("h").isNotNull())
+        .select("seed", "h.u", "h.v")
         .distinct()
     )
 

@@ -13,6 +13,16 @@ from repro.synth_data import interaction_network, interaction_network_pdf
 PROFILE, SF, SEED = "ctu13", 0.01, 7
 
 
+def codegen_compilations(spark) -> int:
+    """Classes Spark's code generator has compiled in this JVM so far.
+
+    A compile is a miss of the codegen cache, so a repeated query whose
+    count does not move ran entirely on already-compiled classes.
+    """
+    metrics = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
+    return metrics.METRIC_COMPILATION_TIME().getCount()
+
+
 @pytest.fixture(scope="session")
 def interactions(spark):
     df = interaction_network(spark, profile=PROFILE, sf=SF, seed=SEED).cache()

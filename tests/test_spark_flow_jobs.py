@@ -17,6 +17,8 @@ from repro.spark.flow_jobs import (
     runtime_table,
 )
 
+from .conftest import PROFILE, SF, codegen_compilations
+
 
 class TestComputeFlows:
     def test_one_row_per_seed(self, subgraphs, flow_results):
@@ -82,6 +84,31 @@ class TestComputeFlows:
             lines[exchange],
         ), plan
         assert not any("coalesced" in l for l in lines[python:exchange]), plan
+
+
+class TestCodegenCache:
+    def test_warm_flow_table_pass_compiles_nothing(self, spark):
+        """A repeated Tables 6-8 pass finds every generated class in
+        Spark's codegen cache: 100 entries in four LRU segments of 25,
+        filled by a hash that differs from JVM to JVM. A pass with more
+        classes than a segment holds recompiles that segment's classes
+        on every pass, and they start unJITted again."""
+        from jobs import flow_tables
+
+        def one_pass():
+            # As the flow-bitcoin benchmark body does it, on the fixture
+            # network (flow_tables.run's default network seed is SEED).
+            results, table = flow_tables.run(
+                spark, PROFILE, SF, max_interactions=800, lp_cap=800
+            )
+            table.collect()
+            results.toPandas()
+            results.unpersist()
+
+        one_pass()
+        before = codegen_compilations(spark)
+        one_pass()
+        assert codegen_compilations(spark) - before == 0
 
 
 class TestRuntimeTable:

@@ -4,7 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.core.graph import SINK, SOURCE, TemporalGraph
+from repro.core.patterns import P2, P3
 from repro.oracle import assert_equivalent
+from repro.spark.pattern_search import gb_instances
 from repro.spark.subgraphs import (
     cycle_paths,
     extract_seed_subgraphs,
@@ -13,6 +15,14 @@ from repro.spark.subgraphs import (
 )
 
 EDGES_SQL = "(select distinct src as u, dst as v from i)"
+
+
+def assert_cycles_are_pattern_instances(net):
+    """``cycle_paths`` enumerates exactly the P2 and P3 instances of GB."""
+    for hops, pattern in ((2, P2), (3, P3)):
+        assert_equivalent(
+            cycle_paths(net, hops), "select * from g", g=gb_instances(net, pattern)
+        )
 
 
 class TestCyclePaths:
@@ -39,6 +49,9 @@ class TestCyclePaths:
             """,
             i=interactions_pdf,
         )
+
+    def test_same_rows_as_gb_instances(self, interactions):
+        assert_cycles_are_pattern_instances(interactions)
 
     def test_bad_hops_raises(self, interactions):
         with pytest.raises(ValueError):
@@ -220,6 +233,9 @@ class TestSelfLoop:
             labels = [c for c in df.columns if c not in ("flow", "deliveries")]
             for row in df.select(*labels).collect():
                 assert len(set(row)) == len(row), row
+
+    def test_cycles_are_pattern_instances(self, net):
+        assert_cycles_are_pattern_instances(net)
 
     def test_seed_flow_ignores_loop(self, net):
         from repro.spark.flow_jobs import compute_flows
