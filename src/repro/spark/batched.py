@@ -21,6 +21,14 @@ core. One partition per core, not more: every extra Python task costs
 more than the imbalance it evens out. At ``local[4]`` on a 4-vCPU VM the
 bitcoin flow pass took 0.8-1.0 s with one partition per core, 1.1-1.5 s
 with two and 1.6-2.0 s with four.
+
+Each Python task pays a fixed start-up cost before it reads a row. The
+worker's ``setup_spark_files`` calls ``importlib.invalidate_caches()``,
+and Python 3.11's zipimporter then re-reads the archives on the worker's
+``sys.path``: ``pyspark.zip``, the py4j zip and the ``spark-core`` jar.
+That call alone took 166 ms in a worker; a one-partition ``rdd.map``
+took a median 219 ms, against 87 ms for a one-partition JVM-only
+``spark.range(...).count()`` (same VM, ``local[4]``).
 """
 from __future__ import annotations
 
@@ -29,6 +37,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
 #: ``fn(key, columns)``: the key's values and its rows' column arrays.
@@ -72,6 +81,8 @@ def apply_per_key(
 
     return (
         df.repartition(n, *keys)
-        .sortWithinPartitions(*keys)
+        # F.expr, not the names, which the sort would turn into F.col
+        # calls, each capturing its Python call site.
+        .sortWithinPartitions(*(F.expr(k) for k in keys))
         .mapInPandas(per_partition, schema)
     )

@@ -60,33 +60,30 @@ def compute_flows(subgraphs: DataFrame, *, lp_cap: int | None = None) -> DataFra
 def _method_aggs() -> list:
     """Subgraph count and per-method average milliseconds, the columns
     shared by the Tables 6-8 and Figure-11 summaries."""
-    return [F.count("*").alias("n_subgraphs")] + [
-        F.avg(f"ms_{m}").alias(f"{m}_ms") for m in ("greedy", "lp", "pre", "presim")
+    return [F.expr("count(*) AS n_subgraphs")] + [
+        F.expr(f"avg(ms_{m}) AS {m}_ms") for m in ("greedy", "lp", "pre", "presim")
     ]
+
+
+def _sorted(summary: DataFrame, key: str) -> DataFrame:
+    """The few summary rows in one partition, sorted by ``key``: a global
+    order without the sampling job a range-partitioned ``orderBy`` runs."""
+    return summary.coalesce(1).sortWithinPartitions(F.expr(key))
 
 
 def runtime_table(results: DataFrame) -> DataFrame:
     """Tables 6-8 shape: All / Class A / B / C rows with per-method
     average milliseconds and subgraph counts."""
-    return (
-        results.rollup("cls")
-        .agg(*_method_aggs())
-        .withColumn("cls", F.coalesce("cls", F.lit("All")))
-        .orderBy("cls")
-    )
+    summary = results.rollup("cls").agg(*_method_aggs())
+    return _sorted(summary.withColumn("cls", F.expr("coalesce(cls, 'All')")), "cls")
 
 
 def interaction_bucket_table(results: DataFrame) -> DataFrame:
     """Figure-11 style bucketing by interaction count (<100, 100-1000,
     >1000); kept as a DataFrame since figures are out of scope."""
     bucket = (
-        F.when(F.col("n_interactions") < 100, "<100")
-        .when(F.col("n_interactions") <= 1000, "100-1000")
-        .otherwise(">1000")
+        "CASE WHEN n_interactions < 100 THEN '<100'"
+        " WHEN n_interactions <= 1000 THEN '100-1000' ELSE '>1000' END"
     )
-    return (
-        results.withColumn("bucket", bucket)
-        .groupBy("bucket")
-        .agg(*_method_aggs())
-        .orderBy("bucket")
-    )
+    summary = results.groupBy(F.expr(f"{bucket} AS bucket")).agg(*_method_aggs())
+    return _sorted(summary, "bucket")

@@ -7,7 +7,6 @@ interaction (Definition 1: an edge is the *sequence* of its rows).
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 INTERACTION_COLS = ["src", "dst", "ts", "qty"]
 
@@ -37,11 +36,7 @@ def checkpointed(interactions: DataFrame) -> DataFrame:
 
 def edges_df(interactions: DataFrame) -> DataFrame:
     """Distinct directed edges ``(u, v)`` of the network."""
-    return (
-        interactions.select(
-            F.col("src").alias("u"), F.col("dst").alias("v")
-        ).distinct()
-    )
+    return interactions.selectExpr("src AS u", "dst AS v").distinct()
 
 
 def dataset_stats(interactions: DataFrame) -> DataFrame:
@@ -52,14 +47,14 @@ def dataset_stats(interactions: DataFrame) -> DataFrame:
     flow" column reports the average transferred amount).
     """
     nodes = (
-        interactions.select(F.col("src").alias("n"))
-        .union(interactions.select(F.col("dst").alias("n")))
+        interactions.selectExpr("src AS n")
+        .union(interactions.selectExpr("dst AS n"))
         .distinct()
         .count()
     )
     edges = edges_df(interactions).count()
-    agg = interactions.agg(
-        F.count("*").alias("n_interactions"), F.avg("qty").alias("avg_flow")
+    agg = interactions.selectExpr(
+        "count(*) AS n_interactions", "avg(qty) AS avg_flow"
     ).collect()[0]
     spark = interactions.sparkSession
     return spark.createDataFrame(

@@ -23,28 +23,37 @@ as RDD scans:
    already partitioned by seed;
 4. attach the edges' interaction sequences and relabel the seed's
    outgoing copy as ``SOURCE`` (-1) and incoming copy as ``SINK`` (-2);
-5. drop seeds whose subgraph exceeds ``max_interactions`` rows, counted
-   by a window over each seed's rows (the paper dropped
-   >10K-interaction subgraphs for the same reason: the direct LP
-   baseline explodes).
+5. hash-partition the rows on the seed into ``defaultParallelism``
+   partitions, the flow pass's partitioning, and drop seeds whose
+   subgraph exceeds ``max_interactions`` rows, counted by a window over
+   each seed's rows (the paper dropped >10K-interaction subgraphs for
+   the same reason: the direct LP baseline explodes).
 
 The plan is kept small for Spark's codegen cache: 100 compiled classes
 in four LRU segments of 25. A class's segment is a hash that includes
 its class loader's identity hash, so the split differs from JVM to JVM,
 and a segment that gets more than 25 of the classes a pass uses
 recompiles them on every pass. A Tables 6–8 pass (extraction, flow
-pass, ``runtime_table``) generates 63 classes with this plan, against
+pass, ``runtime_table``) generates 59 classes with this plan, against
 106 with P2/P3 self-joins and 82 with a wedge join closed by a left join.
+
+Every expression is a SQL string passed to a DataFrame method
+(``selectExpr``, ``where``, ``F.expr``), so no ``Column`` object is
+built: with PySpark's DataFrame debugging on, each ``Column`` method
+and ``F.col`` captures the Python call site, about four py4j round
+trips each (DESIGN.md, distributed formulation).
 
 Returns one row per (seed, interaction): ``seed, src, dst, ts, qty``.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.graph import SINK, SOURCE
 from .network import checkpointed
+
+_NULL = "CAST(NULL AS BIGINT)"
 
 
 def _closed_wedges(interactions: DataFrame) -> DataFrame:
@@ -54,47 +63,39 @@ def _closed_wedges(interactions: DataFrame) -> DataFrame:
     whether the seed also has the edge ``a→c``. Without self-loops the
     vertices of a row are pairwise distinct exactly when ``c != a``.
     """
-    none = F.lit(None).cast("long")
     # Per vertex c, its in-neighbours, on the rows of its out-edges c→a.
     # Each interaction is an out-row of its src and an in-row of its dst;
     # shuffled by c, the distinct rows are the edges without a second
     # shuffle (a ``distinct`` edge table first would need its own).
-    by_tail = F.array(
-        F.struct(F.col("src").alias("c"), F.col("dst").alias("a"), none.alias("w")),
-        F.struct(F.col("dst").alias("c"), none.alias("a"), F.col("src").alias("w")),
-    )
-    ins = F.collect_set("w").over(Window.partitionBy("c"))
     edges = (
-        interactions.where(F.col("src") != F.col("dst"))
-        .select(F.inline(by_tail))
+        interactions.where("src <> dst")
+        .selectExpr(
+            f"inline(array(named_struct('c', src, 'a', dst, 'w', {_NULL}),"
+            f" named_struct('c', dst, 'a', {_NULL}, 'w', src)))"
+        )
         .repartition("c")
         .distinct()
-        .select("c", "a", ins.alias("ins"))
-        .where(F.col("a").isNotNull())
+        .selectExpr("c", "a", "collect_set(w) OVER (PARTITION BY c) AS ins")
+        .where("a IS NOT NULL")
     )
     # Per vertex a, its out-neighbours, on the rows of its in-edges c→a.
-    by_head = F.array(
-        F.struct("a", "c", "ins", none.alias("b")),
-        F.struct(
-            F.col("c").alias("a"),
-            none.alias("c"),
-            F.lit(None).cast("array<long>").alias("ins"),
-            F.col("a").alias("b"),
-        ),
-    )
-    outs = F.collect_set("b").over(Window.partitionBy("a"))
     edges = (
-        edges.select(F.inline(by_head))
-        .select("a", "c", "ins", outs.alias("outs"))
-        .where(F.col("c").isNotNull())
+        edges.selectExpr(
+            f"inline(array(named_struct('a', a, 'c', c, 'ins', ins, 'b', {_NULL}),"
+            f" named_struct('a', c, 'c', {_NULL}, 'ins', CAST(NULL AS ARRAY<BIGINT>),"
+            " 'b', a)))"
+        )
+        .selectExpr("a", "c", "ins", "collect_set(b) OVER (PARTITION BY a) AS outs")
+        .where("c IS NOT NULL")
     )
     # An out-neighbour b of a closes c→a→b into a 2-cycle when b == c
     # and into a 3-cycle when b→c.
-    closers = F.array_intersect("outs", F.array_union("ins", F.array("c")))
-    b, c = F.col("b"), F.col("c")
-    return edges.select(
-        "a", "c", F.array_contains("outs", c).alias("chord"), F.explode(closers).alias("b")
-    ).select("a", "b", F.when(b == c, F.col("a")).otherwise(c).alias("c"), "chord")
+    return edges.selectExpr(
+        "a",
+        "c",
+        "array_contains(outs, c) AS chord",
+        "explode(array_intersect(outs, array_union(ins, array(c)))) AS b",
+    ).selectExpr("a", "b", "CASE WHEN b = c THEN a ELSE c END AS c", "chord")
 
 
 def cycle_paths(interactions: DataFrame, hops: int) -> DataFrame:
@@ -103,9 +104,9 @@ def cycle_paths(interactions: DataFrame, hops: int) -> DataFrame:
     vertices — the instances of patterns P2 and P3."""
     cycles = _closed_wedges(interactions)
     if hops == 2:
-        return cycles.where(F.col("c") == F.col("a")).select("a", "b")
+        return cycles.where("c = a").select("a", "b")
     if hops == 3:
-        return cycles.where(F.col("c") != F.col("a")).select("a", "b", "c")
+        return cycles.where("c <> a").select("a", "b", "c")
     raise ValueError("hops must be 2 or 3")
 
 
@@ -122,22 +123,16 @@ def seed_edge_sets(interactions: DataFrame) -> DataFrame:
     starts a cycle of ``a`` and 2 otherwise. Since ``c→a`` exists, the
     edge ``a→c`` is exactly what makes ``a→c→a`` such a cycle.
     """
-    a, b, c = F.col("a"), F.col("b"), F.col("c")
-    two = c == a
-
-    def hop(u, v):
-        return F.struct(u.alias("u"), v.alias("v"))
-
-    hops = F.array(
-        hop(a, b),
-        hop(F.when(two, b).otherwise(c), a),
-        F.when(~two & ~F.col("chord"), hop(b, c)),
+    hops = (
+        "array(named_struct('u', a, 'v', b),"
+        " named_struct('u', CASE WHEN c = a THEN b ELSE c END, 'v', a),"
+        " CASE WHEN c <> a AND NOT chord THEN named_struct('u', b, 'v', c) END)"
     )
     return (
         _closed_wedges(interactions)
-        .select(a.alias("seed"), F.explode(hops).alias("h"))
-        .where(F.col("h").isNotNull())
-        .select("seed", "h.u", "h.v")
+        .selectExpr("a AS seed", f"explode({hops}) AS h")
+        .where("h IS NOT NULL")
+        .selectExpr("seed", "h.u AS u", "h.v AS v")
         .distinct()
     )
 
@@ -150,22 +145,29 @@ def extract_seed_subgraphs(
     The seed's outgoing copy becomes ``SOURCE`` (-1), its incoming copy
     ``SINK`` (-2). Seeds with more than ``max_interactions`` rows are
     dropped (paper: 10K). The input is checkpointed first (see
-    :func:`repro.spark.network.checkpointed`).
+    :func:`repro.spark.network.checkpointed`). The rows come out
+    hash-partitioned on the seed into ``defaultParallelism`` partitions,
+    the partitioning :func:`repro.spark.batched.apply_per_key` asks for,
+    so the flow pass plans no exchange of its own.
     """
     interactions = checkpointed(interactions)
-    edges = seed_edge_sets(interactions)
-    sub = edges.join(
-        interactions,
-        (edges["u"] == interactions["src"]) & (edges["v"] == interactions["dst"]),
-    ).select(
-        "seed",
-        F.when(F.col("u") == F.col("seed"), F.lit(SOURCE)).otherwise(F.col("u")).alias("src"),
-        F.when(F.col("v") == F.col("seed"), F.lit(SINK)).otherwise(F.col("v")).alias("dst"),
-        "ts",
-        "qty",
-        F.count("*").over(Window.partitionBy("seed")).alias("n_i"),
+    n = interactions.sparkSession.sparkContext.defaultParallelism
+    return (
+        seed_edge_sets(interactions)
+        .withColumnsRenamed({"u": "src", "v": "dst"})
+        .join(interactions, ["src", "dst"])
+        .repartition(n, "seed")
+        .selectExpr(
+            "seed",
+            f"CASE WHEN src = seed THEN {SOURCE} ELSE src END AS src",
+            f"CASE WHEN dst = seed THEN {SINK} ELSE dst END AS dst",
+            "ts",
+            "qty",
+            "count(*) OVER (PARTITION BY seed) AS n_i",
+        )
+        .where(f"n_i <= {max_interactions:d}")
+        .drop("n_i")
     )
-    return sub.where(F.col("n_i") <= max_interactions).drop("n_i")
 
 
 def subgraph_stats(subgraphs: DataFrame) -> DataFrame:
@@ -175,15 +177,15 @@ def subgraph_stats(subgraphs: DataFrame) -> DataFrame:
     pure 2-hop-cycle subgraph a→b→a has 3 vertices and 2 edges.
     """
     per_seed = subgraphs.groupBy("seed").agg(
-        (
-            F.size(F.array_distinct(F.flatten(F.collect_list(F.array("src", "dst")))))
-        ).alias("n_vertices"),
-        F.countDistinct("src", "dst").alias("n_edges"),
-        F.count("*").alias("n_interactions"),
+        F.expr(
+            "size(array_distinct(flatten(collect_list(array(src, dst))))) AS n_vertices"
+        ),
+        F.expr("count(DISTINCT src, dst) AS n_edges"),
+        F.expr("count(*) AS n_interactions"),
     )
-    return per_seed.agg(
-        F.count("*").alias("n_subgraphs"),
-        F.avg("n_vertices").alias("avg_vertices"),
-        F.avg("n_edges").alias("avg_edges"),
-        F.avg("n_interactions").alias("avg_interactions"),
+    return per_seed.selectExpr(
+        "count(*) AS n_subgraphs",
+        "avg(n_vertices) AS avg_vertices",
+        "avg(n_edges) AS avg_edges",
+        "avg(n_interactions) AS avg_interactions",
     )

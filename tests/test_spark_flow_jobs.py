@@ -16,6 +16,7 @@ from repro.spark.flow_jobs import (
     interaction_bucket_table,
     runtime_table,
 )
+from repro.spark.subgraphs import cycle_paths, extract_seed_subgraphs, seed_edge_sets
 
 from .conftest import PROFILE, SF, codegen_compilations
 
@@ -85,6 +86,22 @@ class TestComputeFlows:
         ), plan
         assert not any("coalesced" in l for l in lines[python:exchange]), plan
 
+    def test_flow_pass_reuses_extraction_partitioning(self, spark, interactions):
+        """Extraction ends hash-partitioned on the seed into one partition
+        per core, so the flow pass plans no second exchange on the seed."""
+        res = compute_flows(extract_seed_subgraphs(interactions, max_interactions=50))
+        res.collect()
+        plan = res._jdf.queryExecution().executedPlan().toString()
+        final = plan.split("== Initial Plan ==")[0]
+        on_seed = [
+            l for l in final.splitlines() if "Exchange hashpartitioning(seed#" in l
+        ]
+        n = spark.sparkContext.defaultParallelism
+        assert len(on_seed) == 1, plan
+        assert re.search(
+            rf"hashpartitioning\(seed#\d+L, {n}\), REPARTITION_BY_NUM", on_seed[0]
+        ), plan
+
 
 class TestCodegenCache:
     def test_warm_flow_table_pass_compiles_nothing(self, spark):
@@ -111,10 +128,77 @@ class TestCodegenCache:
         assert codegen_compilations(spark) - before == 0
 
 
+class TestCallSite:
+    """No Column object is built on the Tables 5-8 paths. With PySpark's
+    DataFrame debugging on (its default), every Column method and every
+    ``F.col`` captures the Python call site: a config read, JVM calls,
+    and on first use an ``import IPython``. SQL-string expressions pass
+    through DataFrame methods, which are not wrapped."""
+
+    @pytest.fixture
+    def captures(self, monkeypatch):
+        import pyspark.errors.utils as utils
+
+        real, calls = utils._capture_call_site, []
+
+        def counting(depth):
+            calls.append(depth)
+            return real(depth)
+
+        monkeypatch.setattr(utils, "_capture_call_site", counting)
+        return calls
+
+    def test_flow_table_pass_captures_nothing(self, spark, captures):
+        from jobs import flow_tables
+
+        results, table = flow_tables.run(
+            spark, PROFILE, SF, max_interactions=800, lp_cap=800
+        )
+        table.collect()
+        results.toPandas()
+        results.unpersist()
+        assert len(captures) == 0
+
+    def test_extraction_captures_nothing(self, interactions, captures):
+        extract_seed_subgraphs(interactions).toPandas()
+        assert len(captures) == 0
+
+
+@pytest.mark.parametrize(
+    "build, source",
+    [
+        (lambda df: cycle_paths(df, 2), "interactions"),
+        (lambda df: cycle_paths(df, 3), "interactions"),
+        (seed_edge_sets, "interactions"),
+        (extract_seed_subgraphs, "interactions"),
+        (compute_flows, "subgraphs"),
+        (runtime_table, "flow_results"),
+    ],
+    ids=["cycles2", "cycles3", "edge_sets", "extract", "flows", "runtime"],
+)
+def test_cached_input_stays_cached(request, build, source):
+    """Building and running a table leaves its cached input cached. Spark
+    uncaches every cached plan equal to a temp view that is dropped, as
+    ``spark.sql(query, df=...)`` does with its views afterwards."""
+    df = request.getfixturevalue(source)
+    level = df.storageLevel
+    assert level.useMemory
+    build(df).collect()
+    assert df.storageLevel == level
+
+
 class TestRuntimeTable:
     def test_rows_all_plus_classes(self, flow_results):
         pdf = runtime_table(flow_results).toPandas()
         assert set(pdf["cls"]) == {"All", "A", "B", "C"}
+
+    def test_sorted_without_range_partitioning(self, flow_results):
+        """The four rows are sorted inside one partition; a global
+        ``orderBy`` would add a range-partition sampling job."""
+        table = runtime_table(flow_results)
+        assert list(table.toPandas()["cls"]) == ["A", "All", "B", "C"]
+        plan = table._jdf.queryExecution().executedPlan().toString()
+        assert "rangepartitioning" not in plan, plan
 
     def test_counts_match_oracle(self, flow_results):
         assert_equivalent(
