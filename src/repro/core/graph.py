@@ -13,7 +13,6 @@ two DAG vertices.
 """
 from __future__ import annotations
 
-import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
@@ -33,7 +32,7 @@ class TemporalGraph:
     ``edges`` maps ``(v, u)`` to its interaction list, kept sorted by
     timestamp (stable w.r.t. insertion for ties). ``source``/``sink``
     identify the designated flow endpoints (Section 4 assumes one of
-    each; use :func:`add_super_source_sink` otherwise).
+    each).
     """
 
     edges: Dict[Edge, List[Interaction]] = field(default_factory=dict)
@@ -137,23 +136,3 @@ class TemporalGraph:
         except ValueError:
             return False
 
-
-def add_super_source_sink(g: TemporalGraph) -> TemporalGraph:
-    """Figure 4: synthesize a single source/sink for multi-endpoint graphs.
-
-    Every original source (no incoming edges) gets one interaction from
-    the super-source at the smallest possible timestamp with infinite
-    quantity; every original sink feeds the super-sink at the largest
-    timestamp. Returns a new graph with ``source=SOURCE, sink=SINK``.
-    """
-    out, inc = g.adjacency()
-    vs = g.vertices - {SOURCE, SINK}
-    sources = sorted(v for v in vs if not inc.get(v))
-    sinks = sorted(v for v in vs if not out.get(v))
-    h = g.copy()
-    h.source, h.sink = SOURCE, SINK
-    for v in sources:
-        h.edges[(SOURCE, v)] = [(-math.inf, math.inf)]
-    for v in sinks:
-        h.edges[(v, SINK)] = [(math.inf, math.inf)]
-    return h

@@ -15,6 +15,11 @@ where ``F_v(t_i)`` is the fixed inflow to ``v`` from source-origin
 interactions strictly before ``t_i``. The objective (eq. 3) maximizes
 the total quantity arriving at the sink (plus the constant contribution
 of any direct source→sink interactions).
+
+The eq. (2) block is built by broadcasting the variables' sources,
+destinations and timestamps against each other (one ``n × n`` comparison
+per term), and ``F_v`` by a running sum of ``v``'s fixed inflow looked up
+with ``searchsorted``; no Python loop runs per variable pair.
 """
 from __future__ import annotations
 
@@ -31,58 +36,51 @@ def build_lp(g: TemporalGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, floa
 
     ``variables[k]`` is the interaction ``(t, src, dst, q)`` that
     variable ``k`` controls; ``constant`` is the fixed flow delivered
-    straight from the source into the sink.
+    straight from the source into the sink. ``A`` has ``2n`` rows: the
+    eq. (1) bounds, then one eq. (2) row per variable.
     """
     rows = g.interactions_in_time_order()
     var_rows = [r for r in rows if r[1] != g.source]
     n = len(var_rows)
-    idx_of: Dict[int, List[int]] = {}
-
-    # Per-vertex chronological event lists, to build eq. (2) rows.
-    # out_vars[v]: indices of variable interactions leaving v
-    # in_vars[v]:  indices of variable interactions entering v
-    # fixed_in[v]: (t, q) of source-origin interactions entering v
-    out_vars: Dict[int, List[int]] = {}
-    in_vars: Dict[int, List[int]] = {}
-    fixed_in: Dict[int, List[Tuple[float, float]]] = {}
-    for k, (t, v, u, q) in enumerate(var_rows):
-        out_vars.setdefault(v, []).append(k)
-        in_vars.setdefault(u, []).append(k)
+    # fixed_in[v]: times and quantities of source-origin interactions
+    # entering v, in time order.
+    fixed_in: Dict[int, Tuple[List[float], List[float]]] = {}
     constant = 0.0
     for t, v, u, q in rows:
         if v == g.source:
             if u == g.sink:
                 constant += q
             else:
-                fixed_in.setdefault(u, []).append((t, q))
+                ts, qs = fixed_in.setdefault(u, ([], []))
+                ts.append(t)
+                qs.append(q)
 
     c = np.zeros(n)
-    for k, (t, v, u, q) in enumerate(var_rows):
-        if u == g.sink:
-            c[k] = 1.0
-
-    # Eq. (1) upper bounds as rows, then one eq. (2) row per variable.
     A = np.zeros((2 * n, n))
     b = np.zeros(2 * n)
-    for k, (t, v, u, q) in enumerate(var_rows):
-        A[k, k] = 1.0
-        b[k] = q
-    for k, (t, v, u, q) in enumerate(var_rows):
-        r = n + k
-        A[r, k] = 1.0
-        # Outgoing siblings at the *same* timestamp are included (<=):
-        # the paper's strict "<" would let simultaneous interactions each
-        # spend the full buffer independently. With "<=", every member of
-        # a same-timestamp group carries the joint constraint
-        #   sum(group) + earlier-out - earlier-in <= fixed-in,
-        # matching the time-expanded reduction and the greedy scan.
-        for j in out_vars.get(v, []):
-            if j != k and var_rows[j][0] <= t:
-                A[r, j] += 1.0
-        for j in in_vars.get(v, []):
-            if var_rows[j][0] < t:
-                A[r, j] -= 1.0
-        b[r] = sum(q2 for t2, q2 in fixed_in.get(v, []) if t2 < t)
+    if n == 0:
+        return c, A, b, constant, var_rows
+    t, src, dst, q = (np.array(col) for col in zip(*var_rows))
+    c[dst == g.sink] = 1.0
+    A[np.arange(n), np.arange(n)] = 1.0
+    b[:n] = q
+    # Eq. (2) row n + k, column j. Outgoing siblings at the *same*
+    # timestamp are included (<=), k itself among them: the paper's strict
+    # "<" would let simultaneous interactions each spend the full buffer
+    # independently. With "<=", every member of a same-timestamp group
+    # carries the joint constraint
+    #   sum(group) + earlier-out - earlier-in <= fixed-in,
+    # matching the time-expanded reduction and the greedy scan. Inflow
+    # stays strict, so a self-loop j at v cancels to 0 unless t_j = t_k.
+    earlier_eq = t[None, :] <= t[:, None]
+    earlier = t[None, :] < t[:, None]
+    A[n:] = (src[None, :] == src[:, None]) & earlier_eq
+    A[n:] -= (dst[None, :] == src[:, None]) & earlier
+    for v, (ts, qs) in fixed_in.items():
+        (ks,) = (src == v).nonzero()
+        if ks.size:
+            before = np.concatenate(([0.0], np.cumsum(qs)))
+            b[n + ks] = before[np.searchsorted(ts, t[ks], side="left")]
     return c, A, b, constant, var_rows
 
 

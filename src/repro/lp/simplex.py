@@ -20,13 +20,21 @@ Like lpsolve, it presolves and keeps bounds out of the constraint matrix:
   a basic variable dropping to 0, a basic variable rising to its bound
   (its row is negated before the pivot) or the entering variable reaching
   its own bound (a bound flip, no pivot).
-* **Sparse pivots.** A pivot updates only the rows where the pivot column
-  is nonzero and the columns where the pivot row is nonzero; flow LPs
-  have a few nonzeros per row and column.
+* **Sparse iterations.** Each iteration reads the entering column once
+  and works on its nonzero rows only: the ratio test computes each step
+  as ``where(col > 0, beta, ub - beta) / |col|`` on them (rows with
+  ``|col| <= tol`` are skipped, and a basic variable without a bound gets
+  an infinite step), the bound flip shifts only their right-hand sides,
+  and a pivot updates those rows at the pivot row's nonzero columns. The
+  bounds of the basic variables are kept per row (``ubasis``), not
+  gathered from ``upper[basis]``. Flow LPs have a few nonzeros per pivot
+  row, so an iteration costs a few dozen small numpy calls whatever the
+  tableau's width.
 
 ``b >= 0`` means the all-slack basis is feasible, so a single-phase
 tableau simplex suffices (no two-phase / big-M machinery). Pivoting is
-Dantzig's rule for speed with a fallback to Bland's rule once degenerate
+Dantzig's rule for speed (ties in the ratio test go to the bound flip,
+then to the lowest row) with a fallback to Bland's rule once degenerate
 stalling is detected: the lowest-index improving variable enters and ties
 in the ratio test go to the lowest variable index, which guarantees
 termination. ``LPResult.iterations`` counts pivots plus bound flips.
@@ -94,56 +102,66 @@ def solve_lp_maximize(
 
     if max_iter is None:
         max_iter = 200 * (m + n) + 2000
+    # ubasis[r]: upper bound of the basic variable of row r.
+    ubasis = upper[basis]
     bland = False
     stall = 0
     last_obj = 0.0
     for it in range(max_iter):
         obj_row = T[m, :-1]
         if bland:
-            elig = np.flatnonzero(obj_row < -_TOL)
-            if elig.size == 0:
-                return _finish(T, basis, at_upper, upper, n, it)
-            j = int(elig[0])
+            j = int((obj_row < -_TOL).argmax())
         else:
-            j = int(np.argmin(obj_row))
-            if obj_row[j] >= -_TOL:
-                return _finish(T, basis, at_upper, upper, n, it)
-        # Ratio test. Candidate 0 is j reaching its own bound; candidate
-        # r + 1 is the basic variable of row r reaching 0 or its bound.
-        col = T[:m, j]
-        beta = T[:m, -1]
-        steps = np.full(m + 1, np.inf)
-        steps[0] = upper[j]
-        down = col > _TOL
-        steps[1:][down] = beta[down] / col[down]
-        up = (col < -_TOL) & (upper[basis] < np.inf)
-        steps[1:][up] = (upper[basis[up]] - beta[up]) / -col[up]
+            j = int(obj_row.argmin())
+        if obj_row[j] >= -_TOL:
+            return _finish(T, basis, at_upper, upper, n, it)
+        # Column j is read once; every step below touches only its nonzero
+        # rows. The objective row is always among them (its entry < 0).
+        col = T[:, j].copy()
+        (nz,) = col.nonzero()
+        # Ratio test. j reaching its own bound competes with the basic
+        # variable of each row reaching 0 (col > 0) or its bound (col < 0);
+        # a basic variable without a bound gets an infinite step.
+        rows = nz[:-1]
+        a = col[rows]
+        keep = np.abs(a) > _TOL
+        rows, a = rows[keep], a[keep]
+        beta = T[rows, -1]
+        steps = np.where(a > 0, beta, ubasis[rows] - beta) / np.abs(a)
         np.maximum(steps, 0.0, out=steps)
-        k = int(np.argmin(steps))  # ties -> the bound flip, then lowest row
-        if steps[k] == np.inf:
+        flip = max(upper[j], 0.0)
+        # i: the row whose basic variable leaves, or -1 for the bound flip.
+        # Ties go to the bound flip, then to the lowest row.
+        i = int(steps.argmin()) if rows.size else -1
+        if i < 0 or flip <= steps[i]:
+            i = -1
+        best = flip if i < 0 else steps[i]
+        if best == np.inf:
             raise SimplexError("unbounded LP")
         if bland:
             # Bland: among tied candidates, the lowest variable index leaves.
-            ties = np.flatnonzero(steps <= steps[k] + _TOL)
-            ids = np.concatenate(([j], basis))[ties]
-            k = int(ties[np.argmin(ids)])
-        if k == 0:
+            ids = np.concatenate(([j], basis[rows]))
+            tied = np.concatenate(([flip], steps)) <= best + _TOL
+            i = int(np.where(tied, ids, n + m).argmin()) - 1
+        if i < 0:
             # Bound flip: j moves to its other bound; no basis change.
-            T[:, -1] -= upper[j] * T[:, j]
-            T[:, j] *= -1.0
+            T[nz, -1] -= upper[j] * col[nz]
+            T[nz, j] = -col[nz]
             at_upper[j] = ~at_upper[j]
         else:
-            r = k - 1
+            r = int(rows[i])
             leaving = basis[r]
             if col[r] < 0:
                 # The leaving variable rises to its bound: hold it as
                 # x' = u - x, which makes its row's pivot entry positive.
                 T[r] *= -1.0
                 T[r, leaving] = 1.0
-                T[r, -1] += upper[leaving]
+                T[r, -1] += ubasis[r]
                 at_upper[leaving] = ~at_upper[leaving]
-            _pivot(T, r, j)
+                col[r] = -col[r]
+            _pivot(T, r, j, col, nz)
             basis[r] = j
+            ubasis[r] = upper[j]
         # Degeneracy watch: if the objective stops improving, switch to
         # Bland's rule (terminates by theory).
         obj = T[m, -1]
@@ -175,15 +193,15 @@ def _presolve(A: np.ndarray, b: np.ndarray):
     return A[keep], b[keep], ub
 
 
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    """Pivot on ``(r, j)``, touching only the nonzero rows of column ``j``
-    and the nonzero columns of row ``r``."""
-    T[r] /= T[r, j]
+def _pivot(T: np.ndarray, r: int, j: int, col: np.ndarray, nz: np.ndarray) -> None:
+    """Pivot on ``(r, j)``, touching only the nonzero rows ``nz`` of column
+    ``j`` (whose entries are ``col``) and the nonzero columns of row
+    ``r``."""
     piv = T[r]
-    cols = np.flatnonzero(piv)
-    rows = np.flatnonzero(T[:, j])
-    rows = rows[rows != r]
-    T[np.ix_(rows, cols)] -= np.outer(T[rows, j], piv[cols])
+    piv /= col[r]
+    (cols,) = piv.nonzero()
+    rows = nz[nz != r]
+    T[rows[:, None], cols] -= col[rows, None] * piv[cols]
     T[rows, j] = 0.0
     T[r, j] = 1.0
 

@@ -1,11 +1,7 @@
 """Unit tests for the TemporalGraph substrate (repro.core.graph)."""
-import math
-
 import pytest
 
-from repro.core.graph import SINK, SOURCE, TemporalGraph, add_super_source_sink
-from repro.core.greedy import greedy_flow
-from repro.maxflow_static.time_expanded import max_flow_time_expanded
+from repro.core.graph import TemporalGraph
 
 
 def chain_graph():
@@ -96,35 +92,3 @@ class TestTopology:
         )
         assert not g.is_dag()
 
-
-class TestSuperSourceSink:
-    def multi_endpoint(self):
-        # Two sources (0, 1) and two sinks (3, 4): Figure 4's situation.
-        return TemporalGraph.from_interactions(
-            [(0, 2, 1, 3.0), (1, 2, 2, 4.0), (2, 3, 3, 5.0), (2, 4, 4, 9.0)],
-            source=0,
-            sink=4,
-        )
-
-    def test_adds_single_source_and_sink(self):
-        h = add_super_source_sink(self.multi_endpoint())
-        _, inc = h.adjacency()
-        out, _ = h.adjacency()
-        assert not inc.get(SOURCE)
-        assert not out.get(SINK)
-
-    def test_super_edges_have_infinite_quantity(self):
-        h = add_super_source_sink(self.multi_endpoint())
-        assert h.edges[(SOURCE, 0)] == [(-math.inf, math.inf)]
-        assert h.edges[(3, SINK)] == [(math.inf, math.inf)]
-
-    def test_original_sources_fed_before_everything(self):
-        h = add_super_source_sink(self.multi_endpoint())
-        # Both original sources push their full outgoing quantity (3 + 4
-        # arrive at vertex 2); vertex 2 can forward at most those 7 units
-        # over its two outgoing interactions, all of which reach a sink.
-        assert greedy_flow(h) == pytest.approx(7.0)
-
-    def test_max_flow_matches_greedy_here(self):
-        h = add_super_source_sink(self.multi_endpoint())
-        assert max_flow_time_expanded(h) == pytest.approx(greedy_flow(h))

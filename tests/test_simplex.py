@@ -1,10 +1,53 @@
 """Unit tests for the from-scratch simplex solver (repro.lp.simplex)."""
+import ast
+import inspect
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lp import simplex
 from repro.lp.simplex import LPResult, SimplexError, solve_lp_maximize
+
+
+def _bland_lines():
+    """Line numbers of the statements inside the solver's ``if bland:``
+    branches."""
+    src, first = inspect.getsourcelines(simplex.solve_lp_maximize)
+    lines = set()
+    for node in ast.walk(ast.parse(textwrap.dedent("".join(src)))):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "bland":
+            for stmt in node.body:
+                lines.update(
+                    n.lineno + first - 1 for n in ast.walk(stmt) if isinstance(n, ast.stmt)
+                )
+    assert lines, "the solver has no `if bland:` branch"
+    return lines
+
+
+def solve_counting_bland(c, A, b):
+    """Solve, and count the statements run inside the ``if bland:``
+    branches (0 when the Bland fallback never engaged)."""
+    lines, code, hits = _bland_lines(), simplex.solve_lp_maximize.__code__, [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in lines:
+            hits[0] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        res = solve_lp_maximize(c, A, b)
+    finally:
+        sys.settrace(previous)
+    return res, hits[0]
 
 
 class TestKnownLPs:
@@ -46,21 +89,25 @@ class TestKnownLPs:
         assert res.value == pytest.approx(3.0)
 
     def test_classic_lp(self):
-        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36
-        res = solve_lp_maximize(
+        # max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36, by
+        # Dantzig's rule alone.
+        res, bland_hits = solve_counting_bland(
             [3.0, 5.0], [[1, 0], [0, 2], [3, 2]], [4.0, 12.0, 18.0]
         )
+        assert bland_hits == 0
         assert res.value == pytest.approx(36.0)
         assert res.x == pytest.approx([2.0, 6.0])
 
     def test_beale_cycling_lp(self):
-        # Beale's example cycles under Dantzig's rule with lowest-row ties;
-        # its third row is a singleton (a bound) beside two b=0 rows.
-        res = solve_lp_maximize(
+        # Beale's example cycles under Dantzig's rule with lowest-row ties
+        # until the Bland fallback takes over; its third row is a singleton
+        # (a bound) beside two b=0 rows.
+        res, bland_hits = solve_counting_bland(
             [0.75, -20.0, 0.5, -6.0],
             [[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0]],
             [0.0, 0.0, 1.0],
         )
+        assert bland_hits > 0
         assert res.value == pytest.approx(1.25)
         assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0])
 
@@ -72,6 +119,29 @@ class TestKnownLPs:
         )
         assert res.value == pytest.approx(2.5)
         assert res.x == pytest.approx([2.5])
+
+
+class TestBlandFallback:
+    def test_bland_ties_leave_by_lowest_variable_index(self):
+        # Marshall and Suurballe's cycling LP, columns permuted, with x2 and
+        # x4 bounded by 1. Dantzig's rule stalls on the b = 0 rows until
+        # Bland's rule takes over; there the ratio test ties rows whose
+        # basic variables are not in row order. Ties to the lowest variable
+        # index take 10 iterations; ties to the lowest row would take 13.
+        res, hits = solve_counting_bland(
+            [-57.0, 10.0, -24.0, -9.0],
+            [
+                [-5.5, 0.5, 9.0, -2.5],
+                [0.0, 0.0, 1.0, 0.0],
+                [-1.5, 0.5, 1.0, -0.5],
+                [0.0, 0.0, 0.0, 1.0],
+            ],
+            [0.0, 1.0, 0.0, 1.0],
+        )
+        assert hits > 0
+        assert res.value == 1.0
+        assert res.x.tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert res.iterations == 10
 
 
 class TestErrors:
