@@ -1,39 +1,42 @@
 """Flow pattern enumeration (Section 5): GB baseline vs PB precomputed.
 
-**GB (graph browsing, Section 5.1)** — :func:`gb_instances` matches
-the pattern's structure by Catalyst self-joins over the distinct-edge
-table (the distributed analogue of backtracking over adjacency lists),
-then :func:`instance_flows` gathers every instance's raw interactions
-and computes its maximum flow from scratch with the full PreSim
-pipeline in ``mapInPandas``, one Python call per core that loops over
-its partition's instances (`repro.spark.batched`). The network is
-checkpointed once per search, so the self-joins plan against one RDD
-scan (`repro.spark.network.checkpointed`).
+**GB (graph browsing, Section 5.1)** — :func:`gb_instances` derives
+every pattern's structure from the extraction's cycle enumerator
+(`repro.spark.subgraphs`), the distributed analogue of browsing
+adjacency lists: two neighbour-set windows and no join give every 2- and
+3-cycle (P2, P3), their ``chord`` flag and one join with the 2-cycles
+give P4, and joins of the cycles on their shared source give P5 and P6.
+The first window alone gives the 2-hop chains (P1). Then
+:func:`instance_flows` gathers every instance's raw interactions and
+computes its maximum flow from scratch with the full PreSim pipeline in
+``mapInPandas``, one Python call per core that loops over its
+partition's instances (`repro.spark.batched`). The network is
+checkpointed once per search, so the plan scans one RDD
+(`repro.spark.network.checkpointed`).
 
 These two functions are the Spark layer's only pattern enumerator and
 only per-instance flow helper: the L2/L3/C2 path tables
-(`repro.spark.paths`) are P2/P3/P1 instances with a greedy ``fn``. The
-extraction's 2- and 3-hop cycles (`repro.spark.subgraphs`) come from
-neighbour-set windows instead, a smaller plan; tests check that they
-equal the P2 and P3 instances found here.
+(`repro.spark.paths`) are P2/P3/P1 instances with a greedy ``fn``.
 
 **PB (preprocessing-based, Section 5.2)** — instances are assembled
 from the precomputed L2/L3/C2 path tables (`repro.spark.paths`), and
 flows reuse the tables' precomputed chain flows wherever the paths are
 independent (P1/P2/P3, and additively for P5/P6 and the relaxed
-patterns, per Lemma 3). Only P4 — whose chords make the precomputed
-flows unusable (Figure 8(b) discussion) — falls back to per-instance
-flow computation, which is why the paper sees PB ≈ GB for P4.
+patterns, per Lemma 3). P5 and P6 are the same joins as GB's, over the
+tables. Only P4 — whose chords make the precomputed flows unusable
+(Figure 8(b) discussion) — falls back to per-instance flow computation,
+which is why the paper sees PB ≈ GB for P4.
 
 Both return one row per instance with the pattern's label columns and a
-``flow`` column, so tests can assert GB ≡ PB exactly.
+``flow`` column, so tests can assert GB ≡ PB exactly. Every expression
+is a SQL string, as in the Tables 4–8 modules, so no ``Column`` object
+is built (`repro.spark.subgraphs`).
 """
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from itertools import combinations
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -43,6 +46,7 @@ from ..core.patterns import Pattern, instance_graph
 from ..core.pipeline import run_presim
 from .batched import apply_per_key
 from .network import checkpointed, edges_df
+from .subgraphs import _closed_wedges, _cycles, _edges_with_ins
 
 
 class PBNotApplicable(ValueError):
@@ -51,41 +55,56 @@ class PBNotApplicable(ValueError):
 
 
 # --------------------------------------------------------------------------
-# GB: structure matching by self-joins
+# GB: structure from the neighbour-set windows
 # --------------------------------------------------------------------------
+def _p5_join(two: DataFrame, three: DataFrame) -> DataFrame:
+    """P5 (Figure 8(a)): a 2-cycle ``a→e→a`` (columns ``a, e``) and a
+    3-cycle ``a→b→c→a`` (``a, b, c``) on the shared source, with
+    ``e ∉ {b, c}``. Further columns of either side are kept."""
+    return two.join(three, "a").where("e NOT IN (b, c)")
+
+
+def _p6_join(x: DataFrame, y: DataFrame) -> DataFrame:
+    """P6: 3-cycles ``a→b→c→a`` (``x``) and ``a→d→e→a`` (``y``) on the
+    shared source with ``{b, c} ∩ {d, e} = ∅``; ``b < d`` keeps one row
+    per unordered pair. Further columns of either side are kept."""
+    return x.join(y, "a").where("b < d AND b <> e AND c NOT IN (d, e)")
+
+
 def gb_instances(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     """All instances of ``pattern`` — one row per mapping, columns =
     pattern labels (distinct labels map to distinct vertices, so a
-    self-loop is never part of an instance)."""
-    e = edges_df(interactions)
-    df = None
-    bound: Dict[str, str] = {}
-    for i, (lv, lu) in enumerate(pattern.edges):
-        ei = e.select(
-            F.col("u").alias(f"__u{i}"), F.col("v").alias(f"__v{i}")
+    self-loop is never part of an instance). A relaxed pattern gets one
+    row per parallel path. Raises ``ValueError`` for a pattern GB does
+    not know."""
+    name = pattern.name
+    if name in ("P1", "RP1"):
+        # A window row is an edge c→a with the in-neighbours of c; renamed
+        # to b→c, each in-neighbour a of b other than c makes a chain.
+        return _edges_with_ins(interactions).selectExpr(
+            "explode(ins) AS a", "c AS b", "a AS c"
+        ).where("a <> c")
+    wedges = _closed_wedges(interactions)
+    if name in ("P2", "RP2"):
+        return _cycles(wedges, 2)
+    if name in ("P3", "RP3"):
+        return _cycles(wedges, 3)
+    if name == "P4":
+        # The 3-cycles with the chord a→c whose a→b→a is a 2-cycle, i.e.
+        # that also have the chord b→a.
+        return (
+            wedges.where("c <> a AND chord")
+            .selectExpr("a", "b", "c")
+            .join(_cycles(wedges, 2), ["a", "b"])
         )
-        if df is None:
-            df = ei
-            bound[lv], bound[lu] = f"__u{i}", f"__v{i}"
-            continue
-        cond = None
-        for lbl, col in ((lv, f"__u{i}"), (lu, f"__v{i}")):
-            if lbl in bound:
-                c = F.col(col) == F.col(bound[lbl])
-                cond = c if cond is None else (cond & c)
-        if cond is None:  # pattern edge disconnected from what's bound
-            raise ValueError(f"pattern {pattern.name}: edge {i} binds no known label")
-        df = df.join(ei, cond)
-        bound.setdefault(lv, f"__u{i}")
-        bound.setdefault(lu, f"__v{i}")
-    for l1, l2 in combinations(pattern.labels, 2):
-        df = df.where(F.col(bound[l1]) != F.col(bound[l2]))
-    if pattern.canonical_lt is not None:
-        lo, hi = pattern.canonical_lt
-        df = df.where(F.col(bound[lo]) < F.col(bound[hi]))
-    # Edges are distinct and every edge's endpoints are labels, so the
-    # label tuple already identifies the row: no ``distinct()`` needed.
-    return df.select(*[F.col(bound[l]).alias(l) for l in pattern.labels])
+    if name == "P5":
+        return _p5_join(
+            _cycles(wedges, 2).selectExpr("a", "b AS e"), _cycles(wedges, 3)
+        )
+    if name == "P6":
+        three = _cycles(wedges, 3)
+        return _p6_join(three, three.selectExpr("a", "b AS d", "c AS e"))
+    raise ValueError(f"unknown pattern {name}")
 
 
 def instance_flows(
@@ -106,13 +125,10 @@ def instance_flows(
     and the path tables guarantee, so each graph edge is one pattern edge.
     """
     labels = pattern.labels
-    hops = F.array(
-        *[
-            F.struct(F.col(lv).alias("src"), F.col(lu).alias("dst"))
-            for lv, lu in pattern.edges
-        ]
+    hops = ", ".join(
+        f"named_struct('src', {lv}, 'dst', {lu})" for lv, lu in pattern.edges
     )
-    hop_rows = instances.select(*labels, F.inline(hops)).join(
+    hop_rows = instances.selectExpr(*labels, f"inline(array({hops}))").join(
         interactions, ["src", "dst"]
     )
 
@@ -171,11 +187,11 @@ def _aggregate_relaxed(per_path: DataFrame, pattern: Pattern) -> DataFrame:
     if pattern.name in ("RP1", "RP2"):
         keys = ["a", "c"] if pattern.name == "RP1" else ["a"]
         return per_path.groupBy(*keys).agg(
-            F.sum("flow").alias("flow"), F.count("*").alias("n_paths")
+            F.expr("sum(flow) AS flow"), F.expr("count(*) AS n_paths")
         )
     if pattern.name == "RP3":
         return apply_per_key(
-            per_path.select("a", "b", "c", "flow"),
+            per_path.selectExpr("a", "b", "c", "flow"),
             ["a"],
             _select_disjoint,
             "a long, flow double, n_paths long",
@@ -211,46 +227,24 @@ def pb_search(
             raise PBNotApplicable(
                 f"PB not applicable for {name}: no {_PATH_TABLE[name]} table"
             )
-        per_path = table.select(*pattern.labels, "flow")
+        per_path = table.selectExpr(*pattern.labels, "flow")
         return _aggregate_relaxed(per_path, pattern) if pattern.relaxed else per_path
     if name == "P5":
         # Figure 8(a): merge-join L2 and L3 on the shared source; the two
         # cycles are independent source-chains, so flows add (Lemma 3).
         if l2 is None or l3 is None:
             raise PBNotApplicable("PB not applicable for P5: needs L2 and L3")
-        two = l2.select("a", F.col("b").alias("e"), F.col("flow").alias("flow2"))
-        three = l3.select("a", "b", "c", F.col("flow").alias("flow3"))
-        return (
-            two.join(three, "a")
-            .where((F.col("e") != F.col("b")) & (F.col("e") != F.col("c")))
-            .select(
-                "a",
-                "e",
-                "b",
-                "c",
-                (F.col("flow2") + F.col("flow3")).alias("flow"),
-            )
-        )
+        return _p5_join(
+            l2.selectExpr("a", "b AS e", "flow AS flow2"),
+            l3.selectExpr("a", "b", "c", "flow AS flow3"),
+        ).selectExpr("a", "e", "b", "c", "flow2 + flow3 AS flow")
     if name == "P6":
         if l3 is None:
             raise PBNotApplicable("PB not applicable for P6: needs L3")
-        x = l3.select("a", "b", "c", F.col("flow").alias("flow1"))
-        y = l3.select(
-            "a", F.col("b").alias("d"), F.col("c").alias("e"), F.col("flow").alias("flow2")
-        )
-        return (
-            x.join(y, "a")
-            .where(
-                (F.col("b") < F.col("d"))  # unordered pair, also b != d
-                & (F.col("b") != F.col("e"))
-                & (F.col("c") != F.col("d"))
-                & (F.col("c") != F.col("e"))
-            )
-            .select(
-                "a", "b", "c", "d", "e",
-                (F.col("flow1") + F.col("flow2")).alias("flow"),
-            )
-        )
+        return _p6_join(
+            l3.selectExpr("a", "b", "c", "flow AS flow1"),
+            l3.selectExpr("a", "b AS d", "c AS e", "flow AS flow2"),
+        ).selectExpr("a", "b", "c", "d", "e", "flow1 + flow2 AS flow")
     if name == "P4":
         # Figure 8(b): 3-cycle + chords a->c and b->a. Precomputed flows
         # are unusable (the paths are not independent in the instance):
@@ -261,15 +255,9 @@ def pb_search(
         interactions = checkpointed(interactions)
         e = edges_df(interactions)
         cand = (
-            l3.select("a", "b", "c")
-            .join(
-                e.select(F.col("u").alias("a"), F.col("v").alias("c")),
-                ["a", "c"],
-            )
-            .join(
-                e.select(F.col("u").alias("b"), F.col("v").alias("a")),
-                ["a", "b"],
-            )
+            l3.selectExpr("a", "b", "c")
+            .join(e.selectExpr("u AS a", "v AS c"), ["a", "c"])
+            .join(e.selectExpr("u AS b", "v AS a"), ["a", "b"])
         )
         return instance_flows(interactions, pattern, cand, _presim_flow, "flow double")
     raise ValueError(f"unknown pattern {name}")
@@ -278,6 +266,10 @@ def pb_search(
 # --------------------------------------------------------------------------
 # Table 9-11 harness
 # --------------------------------------------------------------------------
+#: A search's table columns: instance count and average flow.
+_SUMMARY = ("count(*) AS n", "avg(flow) AS avg_flow")
+
+
 def pattern_table_row(
     interactions: DataFrame,
     pattern: Pattern,
@@ -295,15 +287,13 @@ def pattern_table_row(
     accounting.
     """
     t0 = time.perf_counter()
-    gb = gb_search(interactions, pattern).agg(
-        F.count("*").alias("n"), F.avg("flow").alias("avg_flow")
-    ).collect()[0]
+    gb = gb_search(interactions, pattern).selectExpr(*_SUMMARY).collect()[0]
     gb_s = time.perf_counter() - t0
 
     try:
         t0 = time.perf_counter()
-        pb = pb_search(interactions, pattern, l2=l2, l3=l3, c2=c2).agg(
-            F.count("*").alias("n"), F.avg("flow").alias("avg_flow")
+        pb = pb_search(interactions, pattern, l2=l2, l3=l3, c2=c2).selectExpr(
+            *_SUMMARY
         ).collect()[0]
         pb_s: float | None = time.perf_counter() - t0
         pb_n, pb_avg = int(pb["n"]), pb["avg_flow"]

@@ -13,7 +13,11 @@ as RDD scans:
    (:func:`_closed_wedges`): the first gives each edge ``c→a`` the
    in-neighbours of ``c``, the second the out-neighbours of ``a``, and
    their intersection is every ``b`` that closes a cycle through
-   ``c→a``. The rows come out partitioned by the seed ``a``;
+   ``c→a``. The rows come out partitioned by the seed ``a``. This is
+   the one structure enumerator: pattern search
+   (`repro.spark.pattern_search.gb_instances`) and so the L2/L3/C2 path
+   tables derive P2-P6 from these rows, and the 2-hop chains (P1) from
+   the first window alone (:func:`_edges_with_ins`);
 2. explode each cycle into its hops, keeping a hop ``(u, v)`` only when
    ``pos(u) < pos(v)`` — the deterministic DAG guarantee of DESIGN.md
    §1(4) (Algorithm 1 requires a DAG; unioning raw cycle paths may
@@ -56,18 +60,14 @@ from .network import checkpointed
 _NULL = "CAST(NULL AS BIGINT)"
 
 
-def _closed_wedges(interactions: DataFrame) -> DataFrame:
-    """Every 2- and 3-hop cycle ``a→b→c→a`` as one row ``(a, b, c, chord)``.
-
-    ``c == a`` marks a 2-cycle ``a→b→a``. For a 3-cycle, ``chord`` says
-    whether the seed also has the edge ``a→c``. Without self-loops the
-    vertices of a row are pairwise distinct exactly when ``c != a``.
-    """
-    # Per vertex c, its in-neighbours, on the rows of its out-edges c→a.
+def _edges_with_ins(interactions: DataFrame) -> DataFrame:
+    """Every edge ``c→a``, self-loops excluded, as one row ``(c, a, ins)``
+    with ``ins`` the in-neighbours of ``c``: the first window of
+    :func:`_closed_wedges`, and on its own every 2-hop chain ``w→c→a``."""
     # Each interaction is an out-row of its src and an in-row of its dst;
     # shuffled by c, the distinct rows are the edges without a second
     # shuffle (a ``distinct`` edge table first would need its own).
-    edges = (
+    return (
         interactions.where("src <> dst")
         .selectExpr(
             f"inline(array(named_struct('c', src, 'a', dst, 'w', {_NULL}),"
@@ -78,9 +78,18 @@ def _closed_wedges(interactions: DataFrame) -> DataFrame:
         .selectExpr("c", "a", "collect_set(w) OVER (PARTITION BY c) AS ins")
         .where("a IS NOT NULL")
     )
+
+
+def _closed_wedges(interactions: DataFrame) -> DataFrame:
+    """Every 2- and 3-hop cycle ``a→b→c→a`` as one row ``(a, b, c, chord)``.
+
+    ``c == a`` marks a 2-cycle ``a→b→a``. For a 3-cycle, ``chord`` says
+    whether the seed also has the edge ``a→c``. Without self-loops the
+    vertices of a row are pairwise distinct exactly when ``c != a``.
+    """
     # Per vertex a, its out-neighbours, on the rows of its in-edges c→a.
     edges = (
-        edges.selectExpr(
+        _edges_with_ins(interactions).selectExpr(
             f"inline(array(named_struct('a', a, 'c', c, 'ins', ins, 'b', {_NULL}),"
             f" named_struct('a', c, 'c', {_NULL}, 'ins', CAST(NULL AS ARRAY<BIGINT>),"
             " 'b', a)))"
@@ -98,16 +107,20 @@ def _closed_wedges(interactions: DataFrame) -> DataFrame:
     ).selectExpr("a", "b", "CASE WHEN b = c THEN a ELSE c END AS c", "chord")
 
 
+def _cycles(wedges: DataFrame, hops: int) -> DataFrame:
+    """The ``hops``-hop cycles among the :func:`_closed_wedges` rows."""
+    if hops == 2:
+        return wedges.where("c = a").selectExpr("a", "b")
+    if hops == 3:
+        return wedges.where("c <> a").selectExpr("a", "b", "c")
+    raise ValueError("hops must be 2 or 3")
+
+
 def cycle_paths(interactions: DataFrame, hops: int) -> DataFrame:
     """All ``hops``-hop cycles as one row per path: ``(a, b)`` for
     ``a→b→a`` or ``(a, b, c)`` for ``a→b→c→a``, with pairwise distinct
     vertices — the instances of patterns P2 and P3."""
-    cycles = _closed_wedges(interactions)
-    if hops == 2:
-        return cycles.where("c = a").select("a", "b")
-    if hops == 3:
-        return cycles.where("c <> a").select("a", "b", "c")
-    raise ValueError("hops must be 2 or 3")
+    return _cycles(_closed_wedges(interactions), hops)
 
 
 def seed_edge_sets(interactions: DataFrame) -> DataFrame:

@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.core.graph import SINK, SOURCE, TemporalGraph
+from repro.core.patterns import ALL_PATTERNS
 from repro.core.pipeline import run_all_methods
 from repro.oracle import assert_equivalent
 from repro.spark.batched import apply_per_key
@@ -16,6 +17,8 @@ from repro.spark.flow_jobs import (
     interaction_bucket_table,
     runtime_table,
 )
+from repro.spark.paths import c2_table, l2_table, l3_table
+from repro.spark.pattern_search import pattern_table_row
 from repro.spark.subgraphs import cycle_paths, extract_seed_subgraphs, seed_edge_sets
 
 from .conftest import PROFILE, SF, codegen_compilations
@@ -129,7 +132,7 @@ class TestCodegenCache:
 
 
 class TestCallSite:
-    """No Column object is built on the Tables 5-8 paths. With PySpark's
+    """No Column object is built on the Tables 5-11 paths. With PySpark's
     DataFrame debugging on (its default), every Column method and every
     ``F.col`` captures the Python call site: a config read, JVM calls,
     and on first use an ``import IPython``. SQL-string expressions pass
@@ -161,6 +164,16 @@ class TestCallSite:
 
     def test_extraction_captures_nothing(self, interactions, captures):
         extract_seed_subgraphs(interactions).toPandas()
+        assert len(captures) == 0
+
+    def test_path_tables_capture_nothing(self, interactions, captures):
+        for build in (l2_table, l3_table, c2_table):
+            build(interactions).collect()
+        assert len(captures) == 0
+
+    def test_pattern_table_pass_captures_nothing(self, interactions, l2, l3, c2, captures):
+        for name in ("P2", "P3", "P4", "P5", "P6", "RP2", "RP3"):
+            pattern_table_row(interactions, ALL_PATTERNS[name], l2=l2, l3=l3, c2=c2)
         assert len(captures) == 0
 
 

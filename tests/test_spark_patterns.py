@@ -179,12 +179,27 @@ class TestHarness:
         assert row["pb_seconds"] is None
         assert row["instances"] > 0
 
-    def test_pattern_table_row_other_value_error_propagates(self, interactions, l2, l3, c2):
+    def test_pattern_table_row_other_value_error_propagates(
+        self, monkeypatch, interactions, l2, l3, c2
+    ):
         # Only PBNotApplicable means "PB not applicable"; any other
         # ValueError from PB is a fault and must not turn into a None row.
-        from repro.core.patterns import Pattern
+        # GB rejects a pattern it does not know before PB runs, so PB's
+        # fault is injected on a pattern both know.
+        from repro.spark import pattern_search
 
-        weird = Pattern("PX", (("a", "b"),), source="a", sink="b")
-        with pytest.raises(ValueError, match="unknown pattern") as err:
-            pattern_table_row(interactions, weird, l2=l2, l3=l3, c2=c2)
+        def faulty_pb(*args, **kwargs):
+            raise ValueError("PB fault")
+
+        monkeypatch.setattr(pattern_search, "pb_search", faulty_pb)
+        with pytest.raises(ValueError, match="PB fault") as err:
+            pattern_table_row(interactions, ALL_PATTERNS["P2"], l2=l2, l3=l3, c2=c2)
         assert not isinstance(err.value, PBNotApplicable)
+
+
+def test_gb_rejects_unknown_pattern(interactions):
+    from repro.core.patterns import Pattern
+
+    weird = Pattern("PX", (("a", "b"),), source="a", sink="b")
+    with pytest.raises(ValueError, match="unknown pattern"):
+        gb_instances(interactions, weird)
