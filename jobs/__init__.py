@@ -1,1 +1,1 @@
-"""Spark job entry points for Tables 4-11, importable as ``jobs.<name>``."""
+"""The Tables 4-11 driver, importable as ``jobs.tables``."""

@@ -12,7 +12,7 @@ paper's prose (the figure itself is not in the text).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from .graph import SINK, SOURCE, TemporalGraph
@@ -33,12 +33,6 @@ class Pattern:
     source: str = "a"
     sink: str = "a"
     relaxed: bool = False
-    #: for relaxed patterns: hop count of each parallel path (2 or 3)
-    path_hops: int = 0
-    #: automorphism breaker: order the two label groups so each instance
-    #: (subgraph, Definition 3) is enumerated once — e.g. P6's two 3-hop
-    #: cycles are interchangeable, so we require label b < label d.
-    canonical_lt: Tuple[str, str] | None = None
 
     @property
     def cyclic(self) -> bool:
@@ -62,14 +56,10 @@ P3 = Pattern("P3", (("a", "b"), ("b", "c"), ("c", "a")))
 P4 = Pattern("P4", (("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"), ("b", "a")))
 # Figure 8(a): 2-hop cycle (via e) + 3-hop cycle (via b, c) sharing a.
 P5 = Pattern("P5", (("a", "e"), ("e", "a"), ("a", "b"), ("b", "c"), ("c", "a")))
-P6 = Pattern(
-    "P6",
-    (("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "e"), ("e", "a")),
-    canonical_lt=("b", "d"),
-)
-RP1 = Pattern("RP1", (("a", "b"), ("b", "c")), source="a", sink="c", relaxed=True, path_hops=2)
-RP2 = Pattern("RP2", (("a", "b"), ("b", "a")), relaxed=True, path_hops=2)
-RP3 = Pattern("RP3", (("a", "b"), ("b", "c"), ("c", "a")), relaxed=True, path_hops=3)
+P6 = Pattern("P6", (("a", "b"), ("b", "c"), ("c", "a"), ("a", "d"), ("d", "e"), ("e", "a")))
+RP1 = Pattern("RP1", (("a", "b"), ("b", "c")), source="a", sink="c", relaxed=True)
+RP2 = Pattern("RP2", (("a", "b"), ("b", "a")), relaxed=True)
+RP3 = Pattern("RP3", (("a", "b"), ("b", "c"), ("c", "a")), relaxed=True)
 
 ALL_PATTERNS: Dict[str, Pattern] = {
     p.name: p for p in (P1, P2, P3, P4, P5, P6, RP1, RP2, RP3)

@@ -24,9 +24,6 @@ class TestDefinitions:
     def test_relaxed_flags(self):
         assert RP2.relaxed and not P2.relaxed
 
-    def test_p6_canonicalization_declared(self):
-        assert P6.canonical_lt == ("b", "d")
-
 
 class TestInstanceGraph:
     def interactions(self):

@@ -113,14 +113,12 @@ class TestCodegenCache:
         filled by a hash that differs from JVM to JVM. A pass with more
         classes than a segment holds recompiles that segment's classes
         on every pass, and they start unJITted again."""
-        from jobs import flow_tables
+        from jobs import tables
 
         def one_pass():
             # As the flow-bitcoin benchmark body does it, on the fixture
-            # network (flow_tables.run's default network seed is SEED).
-            results, table = flow_tables.run(
-                spark, PROFILE, SF, max_interactions=800, lp_cap=800
-            )
+            # network (the driver's network seed is SEED).
+            results, table = tables.flow_pass(spark, PROFILE, SF)
             table.collect()
             results.toPandas()
             results.unpersist()
@@ -152,11 +150,9 @@ class TestCallSite:
         return calls
 
     def test_flow_table_pass_captures_nothing(self, spark, captures):
-        from jobs import flow_tables
+        from jobs import tables
 
-        results, table = flow_tables.run(
-            spark, PROFILE, SF, max_interactions=800, lp_cap=800
-        )
+        results, table = tables.flow_pass(spark, PROFILE, SF)
         table.collect()
         results.toPandas()
         results.unpersist()
