@@ -104,9 +104,7 @@ def assert_flows_exact(spark, profile: str, sf: float, flows_pdf) -> None:
     flows = flows_pdf.set_index("seed")
     assert len(flows) == sub["seed"].nunique()
     for seed, g in sub.groupby("seed"):
-        exact = max_flow_time_expanded(
-            TemporalGraph.from_interactions(zip(g["src"], g["dst"], g["ts"], g["qty"]))
-        )
+        exact = max_flow_time_expanded(TemporalGraph.from_columns(g))
         row = flows.loc[seed]
         for col in ("flow_lp", "flow_pre", "flow_presim"):
             assert math.isclose(row[col], exact, rel_tol=1e-6, abs_tol=1e-9), (

@@ -56,6 +56,15 @@ class TemporalGraph:
         g.sort_interactions()
         return g
 
+    @classmethod
+    def from_columns(cls, cols: dict) -> "TemporalGraph":
+        """Build from column arrays ``src, dst, ts, qty`` whose rows are
+        already seed-split (``SOURCE``/``SINK``), as a Spark flow worker
+        gets them (`repro.spark.batched.apply_per_key`)."""
+        return cls.from_interactions(
+            zip(*(cols[c].tolist() for c in ("src", "dst", "ts", "qty")))
+        )
+
     def sort_interactions(self) -> None:
         """Sort every edge's interactions by timestamp (stable)."""
         for seq in self.edges.values():

@@ -65,7 +65,9 @@ def greedy_sink_deliveries(g: TemporalGraph) -> List[Tuple[float, float]]:
     Returns ``[(t, x)]`` with ``x > 0`` — exactly the interaction
     sequence Lemma 3 puts on the reduced edge ``(s, v_k)`` when a
     source-chain is collapsed, and the sequence the paper stores per path
-    in the L2/L3/C2 precomputed tables (Section 5.2); ours store its sum.
+    in the L2/L3/C2 precomputed tables (Section 5.2). Ours store the
+    path's PreSim flow, which on a path is the greedy flow, this
+    sequence's sum (Lemma 1).
     """
     transfers, _ = _scan(g)
     return [(t, x) for t, v, u, q, x in transfers if u == g.sink and x > 0]

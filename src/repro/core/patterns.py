@@ -78,9 +78,10 @@ def instance_graph(
     the source label is split into SOURCE (tail occurrences) and SINK
     (head occurrences), mirroring the paper's seed-split DAG.
 
-    This is the one label-to-SOURCE/SINK rule: GB, PB-P4 and the
-    L2/L3/C2 path tables all build their instance graphs here, through
-    :func:`repro.spark.pattern_search.instance_flows`.
+    This is the local reference for the instance DAGs that
+    :func:`repro.spark.pattern_search.instance_flows` builds from rows
+    seed-split in Spark (`repro.spark.subgraphs.seed_split`); the tests
+    and the Tables 9–11 flow gate compare against it.
     """
     rows = []
     for lv, lu in pattern.edges:

@@ -24,7 +24,7 @@ from functools import partial
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from ..core.graph import SINK, SOURCE, TemporalGraph
+from ..core.graph import TemporalGraph
 from ..core.pipeline import run_all_methods
 from .batched import apply_per_key
 
@@ -37,11 +37,7 @@ RESULT_SCHEMA = (
 
 
 def _flow_one_seed(_, cols: dict, lp_cap: int | None = None) -> dict:
-    g = TemporalGraph.from_interactions(
-        zip(*(cols[c].tolist() for c in ("src", "dst", "ts", "qty"))),
-        source=SOURCE,
-        sink=SINK,
-    )
+    g = TemporalGraph.from_columns(cols)
     return {
         "n_vertices": len(g.vertices),
         "n_edges": len(g.edges),
@@ -57,33 +53,17 @@ def compute_flows(subgraphs: DataFrame, *, lp_cap: int | None = None) -> DataFra
     )
 
 
-def _method_aggs() -> list:
-    """Subgraph count and per-method average milliseconds, the columns
-    shared by the Tables 6-8 and Figure-11 summaries."""
-    return [F.expr("count(*) AS n_subgraphs")] + [
-        F.expr(f"avg(ms_{m}) AS {m}_ms") for m in ("greedy", "lp", "pre", "presim")
-    ]
-
-
-def _sorted(summary: DataFrame, key: str) -> DataFrame:
-    """The few summary rows in one partition, sorted by ``key``: a global
-    order without the sampling job a range-partitioned ``orderBy`` runs."""
-    return summary.coalesce(1).sortWithinPartitions(F.expr(key))
-
-
 def runtime_table(results: DataFrame) -> DataFrame:
     """Tables 6-8 shape: All / Class A / B / C rows with per-method
-    average milliseconds and subgraph counts."""
-    summary = results.rollup("cls").agg(*_method_aggs())
-    return _sorted(summary.withColumn("cls", F.expr("coalesce(cls, 'All')")), "cls")
-
-
-def interaction_bucket_table(results: DataFrame) -> DataFrame:
-    """Figure-11 style bucketing by interaction count (<100, 100-1000,
-    >1000); kept as a DataFrame since figures are out of scope."""
-    bucket = (
-        "CASE WHEN n_interactions < 100 THEN '<100'"
-        " WHEN n_interactions <= 1000 THEN '100-1000' ELSE '>1000' END"
+    average milliseconds and subgraph counts, sorted by class in one
+    partition: a global order without the sampling job a
+    range-partitioned ``orderBy`` runs."""
+    summary = results.rollup("cls").agg(
+        F.expr("count(*) AS n_subgraphs"),
+        *(F.expr(f"avg(ms_{m}) AS {m}_ms") for m in ("greedy", "lp", "pre", "presim")),
     )
-    summary = results.groupBy(F.expr(f"{bucket} AS bucket")).agg(*_method_aggs())
-    return _sorted(summary, "bucket")
+    return (
+        summary.withColumn("cls", F.expr("coalesce(cls, 'All')"))
+        .coalesce(1)
+        .sortWithinPartitions(F.expr("cls"))
+    )

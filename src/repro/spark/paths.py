@@ -5,50 +5,33 @@ The tables are pattern instances: L2 is P2 (``a→b→a``), L3 is P3
 stores the vertex-id sequence and the interaction sequence that enters
 the buffer of the path's sink under the greedy algorithm, which by
 Lemma 3 determines the path's maximum flow. We store the vertex ids and
-that maximum flow, the sum of the sequence (``flow``), and not the
-sequence itself: PB reads only ``flow``, because it never extends a
-stored path hop by hop (DESIGN.md §3).
+that maximum flow (``flow``), and not the sequence itself: PB reads only
+``flow``, because it never extends a stored path hop by hop (DESIGN.md
+§3).
 
-Instances come from the GB enumerator and their greedy runs from the
-per-instance helper of `repro.spark.pattern_search`
-(``gb_instances`` and ``instance_flows``), on the checkpointed network,
-so the tables, GB and the seed extraction share one cycle enumerator.
+Each table is GB's own result for its pattern
+(`repro.spark.pattern_search.gb_search`): the same enumerator, the same
+seed-split rows and the same PreSim run per instance. A path instance is
+a chain, which greedy solves (Lemma 1) and PreSim's solubility test
+(Lemma 2) passes, so its stored flow is the greedy flow: the sum of the
+sink deliveries the paper stores.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 
-from ..core.graph import TemporalGraph
-from ..core.greedy import greedy_sink_deliveries
-from ..core.patterns import P1, P2, P3, Pattern
-from .network import checkpointed
-from .pattern_search import gb_instances, instance_flows
-
-
-def _greedy_flow(g: TemporalGraph) -> dict:
-    """The path's max flow: the sum of its greedy sink deliveries."""
-    return {"flow": float(sum(q for _, q in greedy_sink_deliveries(g)))}
-
-
-def _table(interactions: DataFrame, pattern: Pattern) -> DataFrame:
-    interactions = checkpointed(interactions)
-    return instance_flows(
-        interactions,
-        pattern,
-        gb_instances(interactions, pattern),
-        _greedy_flow,
-        "flow double",
-    )
+from ..core.patterns import P1, P2, P3
+from .pattern_search import gb_search
 
 
 def l2_table(interactions: DataFrame) -> DataFrame:
     """2-hop cycle table: ``(a, b, flow)`` for ``a→b→a``."""
-    return _table(interactions, P2)
+    return gb_search(interactions, P2)
 
 
 def l3_table(interactions: DataFrame) -> DataFrame:
     """3-hop cycle table: ``(a, b, c, flow)`` for ``a→b→c→a``."""
-    return _table(interactions, P3)
+    return gb_search(interactions, P3)
 
 
 def c2_table(interactions: DataFrame) -> DataFrame:
@@ -56,4 +39,4 @@ def c2_table(interactions: DataFrame) -> DataFrame:
     ``a, b, c`` pairwise distinct (precomputed for Prosper in the paper;
     chains of arbitrary endpoints were too large for the bigger
     networks)."""
-    return _table(interactions, P1)
+    return gb_search(interactions, P1)

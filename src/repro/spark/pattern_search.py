@@ -7,16 +7,18 @@ adjacency lists: two neighbour-set windows and no join give every 2- and
 3-cycle (P2, P3), their ``chord`` flag and one join with the 2-cycles
 give P4, and joins of the cycles on their shared source give P5 and P6.
 The first window alone gives the 2-hop chains (P1). Then
-:func:`instance_flows` gathers every instance's raw interactions and
-computes its maximum flow from scratch with the full PreSim pipeline in
-``mapInPandas``, one Python call per core that loops over its
-partition's instances (`repro.spark.batched`). The network is
-checkpointed once per search, so the plan scans one RDD
-(`repro.spark.network.checkpointed`).
+:func:`instance_flows` gathers every instance's raw interactions,
+seed-split in the plan by the extraction's rule
+(`repro.spark.subgraphs.seed_split`), and computes its maximum flow from
+scratch with the full PreSim pipeline in ``mapInPandas``, one Python
+call per core that loops over its partition's instances
+(`repro.spark.batched`). The network is checkpointed once per search, so
+the plan scans one RDD (`repro.spark.network.checkpointed`).
 
 These two functions are the Spark layer's only pattern enumerator and
-only per-instance flow helper: the L2/L3/C2 path tables
-(`repro.spark.paths`) are P2/P3/P1 instances with a greedy ``fn``.
+only per-instance flow, and PreSim is the only per-instance function:
+the L2/L3/C2 path tables (`repro.spark.paths`) are GB's own P2/P3/P1
+rows.
 
 **PB (preprocessing-based, Section 5.2)** — instances are assembled
 from the precomputed L2/L3/C2 path tables (`repro.spark.paths`), and
@@ -35,18 +37,17 @@ is built (`repro.spark.subgraphs`).
 from __future__ import annotations
 
 import time
-from collections import defaultdict
-from typing import Callable, Optional
+from typing import Optional
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from ..core.graph import TemporalGraph
-from ..core.patterns import Pattern, instance_graph
+from ..core.patterns import Pattern
 from ..core.pipeline import run_presim
 from .batched import apply_per_key
 from .network import checkpointed, edges_df
-from .subgraphs import _closed_wedges, _cycles, _edges_with_ins
+from .subgraphs import _closed_wedges, _cycles, _edges_with_ins, seed_split
 
 
 class PBNotApplicable(ValueError):
@@ -107,44 +108,38 @@ def gb_instances(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     raise ValueError(f"unknown pattern {name}")
 
 
+def _presim_flow(_, cols: dict) -> dict:
+    """One instance's maximum flow, PreSim on its seed-split rows."""
+    return {"flow": float(run_presim(TemporalGraph.from_columns(cols)).flow)}
+
+
 def instance_flows(
-    interactions: DataFrame,
-    pattern: Pattern,
-    instances: DataFrame,
-    fn: Callable[[TemporalGraph], dict],
-    schema: str,
+    interactions: DataFrame, pattern: Pattern, instances: DataFrame
 ) -> DataFrame:
-    """One row per instance: the label columns plus ``fn`` of its flow DAG.
+    """One row per instance: the label columns plus the ``flow`` of its
+    DAG, computed from scratch with the full PreSim pipeline.
 
     Each instance is exploded into one row per pattern edge, joined once
-    to the interactions of that graph edge, and grouped per instance
+    to the interactions of that graph edge, seed-split in the plan by the
+    extraction's rule with the source and sink labels in place of the
+    seed (`repro.spark.subgraphs.seed_split`), and grouped per instance
     (`repro.spark.batched.apply_per_key`); the worker builds the DAG with
-    :func:`repro.core.patterns.instance_graph`. ``fn`` returns the value
-    columns, which ``schema`` types (e.g. ``"flow double"``). The labels
-    of an instance must be distinct vertices, as :func:`gb_instances`
-    and the path tables guarantee, so each graph edge is one pattern edge.
+    :meth:`TemporalGraph.from_columns`. The labels of an instance must be
+    distinct vertices, as :func:`gb_instances` guarantees, so each graph
+    edge is one pattern edge, the source label occurs only as a tail and
+    the sink label only as a head.
     """
     labels = pattern.labels
     hops = ", ".join(
         f"named_struct('src', {lv}, 'dst', {lu})" for lv, lu in pattern.edges
     )
-    hop_rows = instances.selectExpr(*labels, f"inline(array({hops}))").join(
-        interactions, ["src", "dst"]
+    hop_rows = (
+        instances.selectExpr(*labels, f"inline(array({hops}))")
+        .join(interactions, ["src", "dst"])
+        .selectExpr(*labels, *seed_split(pattern.source, pattern.sink), "ts", "qty")
     )
-
-    def per_instance(key: tuple, cols: dict) -> dict:
-        seqs = defaultdict(list)
-        rows = zip(*(cols[c].tolist() for c in ("src", "dst", "ts", "qty")))
-        for s, d, t, q in rows:
-            seqs[(s, d)].append((t, q))
-        return fn(instance_graph(pattern, dict(zip(labels, key)), seqs))
-
     key_schema = ", ".join(f"{l} long" for l in labels)
-    return apply_per_key(hop_rows, labels, per_instance, f"{key_schema}, {schema}")
-
-
-def _presim_flow(g: TemporalGraph) -> dict:
-    return {"flow": float(run_presim(g).flow)}
+    return apply_per_key(hop_rows, labels, _presim_flow, f"{key_schema}, flow double")
 
 
 def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
@@ -155,7 +150,7 @@ def gb_search(interactions: DataFrame, pattern: Pattern) -> DataFrame:
     (source vertex, or (a, c) endpoint pair for RP1)."""
     interactions = checkpointed(interactions)
     inst = gb_instances(interactions, pattern)  # relaxed: one row per path
-    flows = instance_flows(interactions, pattern, inst, _presim_flow, "flow double")
+    flows = instance_flows(interactions, pattern, inst)
     return _aggregate_relaxed(flows, pattern) if pattern.relaxed else flows
 
 
@@ -259,7 +254,7 @@ def pb_search(
             .join(e.selectExpr("u AS a", "v AS c"), ["a", "c"])
             .join(e.selectExpr("u AS b", "v AS a"), ["a", "b"])
         )
-        return instance_flows(interactions, pattern, cand, _presim_flow, "flow double")
+        return instance_flows(interactions, pattern, cand)
     raise ValueError(f"unknown pattern {name}")
 
 

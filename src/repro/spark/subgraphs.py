@@ -15,9 +15,9 @@ as RDD scans:
    their intersection is every ``b`` that closes a cycle through
    ``c→a``. The rows come out partitioned by the seed ``a``. This is
    the one structure enumerator: pattern search
-   (`repro.spark.pattern_search.gb_instances`) and so the L2/L3/C2 path
-   tables derive P2-P6 from these rows, and the 2-hop chains (P1) from
-   the first window alone (:func:`_edges_with_ins`);
+   (`repro.spark.pattern_search.gb_instances`), whose P2/P3/P1 rows are
+   the L2/L3/C2 path tables, derives P2-P6 from these rows and the
+   2-hop chains (P1) from the first window alone (:func:`_edges_with_ins`);
 2. explode each cycle into its hops, keeping a hop ``(u, v)`` only when
    ``pos(u) < pos(v)`` — the deterministic DAG guarantee of DESIGN.md
    §1(4) (Algorithm 1 requires a DAG; unioning raw cycle paths may
@@ -26,7 +26,10 @@ as RDD scans:
 3. ``distinct`` gives the edge set, without a shuffle, as the rows are
    already partitioned by seed;
 4. attach the edges' interaction sequences and relabel the seed's
-   outgoing copy as ``SOURCE`` (-1) and incoming copy as ``SINK`` (-2);
+   outgoing copy as ``SOURCE`` (-1) and incoming copy as ``SINK`` (-2)
+   (:func:`seed_split`, the one seed-split rule: pattern search applies
+   it to every instance's rows with the instance's source and sink
+   labels in place of the seed);
 5. hash-partition the rows on the seed into ``defaultParallelism``
    partitions, the flow pass's partitioning, and drop seeds whose
    subgraph exceeds ``max_interactions`` rows, counted by a window over
@@ -150,6 +153,18 @@ def seed_edge_sets(interactions: DataFrame) -> DataFrame:
     )
 
 
+def seed_split(source: str, sink: str) -> tuple[str, str]:
+    """The seed split as two SQL expressions over ``src``/``dst``: a tail
+    equal to column ``source`` becomes ``SOURCE`` (-1) and a head equal
+    to column ``sink`` becomes ``SINK`` (-2). Extraction passes the seed
+    for both; a pattern instance passes its source and sink labels, which
+    occur only as a tail and only as a head."""
+    return (
+        f"CASE WHEN src = {source} THEN {SOURCE} ELSE src END AS src",
+        f"CASE WHEN dst = {sink} THEN {SINK} ELSE dst END AS dst",
+    )
+
+
 def extract_seed_subgraphs(
     interactions: DataFrame, *, max_interactions: int = 800
 ) -> DataFrame:
@@ -172,8 +187,7 @@ def extract_seed_subgraphs(
         .repartition(n, "seed")
         .selectExpr(
             "seed",
-            f"CASE WHEN src = seed THEN {SOURCE} ELSE src END AS src",
-            f"CASE WHEN dst = seed THEN {SINK} ELSE dst END AS dst",
+            *seed_split("seed", "seed"),
             "ts",
             "qty",
             "count(*) OVER (PARTITION BY seed) AS n_i",

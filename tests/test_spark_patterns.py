@@ -1,9 +1,13 @@
 """Pattern search: GB ≡ PB on instances and flows (Tables 9-11 machinery)."""
+import math
+from collections import defaultdict
+
 import duckdb
 import numpy as np
 import pytest
 
-from repro.core.patterns import ALL_PATTERNS
+from repro.core.patterns import ALL_PATTERNS, instance_graph
+from repro.maxflow_static.time_expanded import max_flow_time_expanded
 from repro.spark.pattern_search import (
     PBNotApplicable,
     gb_instances,
@@ -142,6 +146,39 @@ class TestGbEqualsPb:
         weird = Pattern("PX", (("a", "b"),), source="a", sink="b")
         with pytest.raises(ValueError):
             pb_search(interactions, weird)
+
+
+class TestExactFlows:
+    """Every P1-P6 instance's flow, from GB and from PB-P4's per-instance
+    pass, is the exact time-expanded max flow of the instance's DAG as
+    :func:`instance_graph` builds it locally: an independent check of the
+    seed split done in the Spark plan. GB = PB for P1-P3 holds by
+    construction, since the path tables are GB's rows."""
+
+    @pytest.fixture(scope="class")
+    def seqs(self, interactions_pdf):
+        seqs = defaultdict(list)
+        cols = (interactions_pdf[c].tolist() for c in ("src", "dst", "ts", "qty"))
+        for s, d, t, q in zip(*cols):
+            seqs[(s, d)].append((t, q))
+        return seqs
+
+    @pytest.mark.parametrize(
+        "name, search",
+        [(n, "gb") for n in ("P1", "P2", "P3", "P4", "P5", "P6")] + [("P4", "pb")],
+    )
+    def test_flow_is_exact(self, name, search, interactions, l3, seqs):
+        pattern = ALL_PATTERNS[name]
+        if search == "gb":
+            pdf = gb_search(interactions, pattern).toPandas()
+        else:
+            pdf = pb_search(interactions, pattern, l3=l3).toPandas()
+        assert (pdf["flow"] > 0).any(), name
+        for key, flow in zip(pdf[pattern.labels].itertuples(index=False), pdf["flow"]):
+            mapping = dict(zip(pattern.labels, map(int, key)))
+            exact = max_flow_time_expanded(instance_graph(pattern, mapping, seqs))
+            assert math.isclose(flow, exact, rel_tol=1e-6, abs_tol=1e-9), (
+                name, mapping, flow, exact)
 
 
 class TestRelaxedAggregation:
