@@ -1,10 +1,15 @@
 """In-memory temporal interaction graph (Definition 1).
 
 One ``TemporalGraph`` holds a single (sub)graph on which the paper's
-flow algorithms run: a directed graph whose edge ``(v, u)`` carries a
-time-ordered sequence of interactions ``(t, q)``. Whole networks live in
-Spark DataFrames (``repro.spark.network``); this class is the per-group
-representation used inside the ``mapInPandas`` workers and unit tests.
+flow algorithms run. It *is* its interactions in time order: an
+immutable tuple of ``(t, src, dst, q)`` rows, the order the greedy scan
+(Sec. 4.1), the LP (Sec. 4.2.1) and the time-expanded reduction all
+read. The per-edge view — edge ``(v, u)`` carrying its time-ordered
+sequence of ``(t, q)`` — and the adjacency are derived from the rows
+once, on first use. Algorithms 1 and 2 return new graphs; none is ever
+changed in place. Whole networks live in Spark DataFrames
+(``repro.spark.network``); this class is the per-group representation
+used inside the ``mapInPandas`` workers and unit tests.
 
 Seed-split convention: cyclic seed subgraphs and cyclic patterns map the
 seed vertex to a source copy ``SOURCE`` (-1) and a sink copy ``SINK``
@@ -13,29 +18,32 @@ two DAG vertices.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 #: Vertex ids used for the source/sink copies of a split seed vertex.
 SOURCE = -1
 SINK = -2
 
+Row = Tuple[float, int, int, float]  # (t, src, dst, q)
 Interaction = Tuple[float, float]  # (t, q)
 Edge = Tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TemporalGraph:
-    """A directed graph with per-edge interaction sequences.
+    """A directed graph given by its interactions in time order.
 
-    ``edges`` maps ``(v, u)`` to its interaction list, kept sorted by
-    timestamp (stable w.r.t. insertion for ties). ``source``/``sink``
-    identify the designated flow endpoints (Section 4 assumes one of
-    each).
+    ``rows`` holds every interaction as ``(t, src, dst, q)``, sorted as
+    tuples: ties on ``t`` break by ``(src, dst, q)``, and identical
+    interactions are interchangeable. ``source``/``sink`` identify the
+    designated flow endpoints (Section 4 assumes one of each). The
+    constructor takes ``rows`` as given; :meth:`from_interactions` sorts.
     """
 
-    edges: Dict[Edge, List[Interaction]] = field(default_factory=dict)
+    rows: Tuple[Row, ...]
     source: int = SOURCE
     sink: int = SINK
 
@@ -49,12 +57,11 @@ class TemporalGraph:
         sink: int = SINK,
     ) -> "TemporalGraph":
         """Build from ``(src, dst, t, q)`` rows (any order)."""
-        edges: Dict[Edge, List[Interaction]] = defaultdict(list)
-        for s, d, t, q in rows:
-            edges[(int(s), int(d))].append((t, q))
-        g = cls(edges=dict(edges), source=source, sink=sink)
-        g.sort_interactions()
-        return g
+        return cls(
+            tuple(sorted((t, int(s), int(d), q) for s, d, t, q in rows)),
+            source,
+            sink,
+        )
 
     @classmethod
     def from_columns(cls, cols: dict) -> "TemporalGraph":
@@ -65,57 +72,38 @@ class TemporalGraph:
             zip(*(cols[c].tolist() for c in ("src", "dst", "ts", "qty")))
         )
 
-    def sort_interactions(self) -> None:
-        """Sort every edge's interactions by timestamp (stable)."""
-        for seq in self.edges.values():
-            seq.sort(key=lambda tq: tq[0])
+    # -- derived views ------------------------------------------------
+    @cached_property
+    def edges(self) -> Dict[Edge, List[Interaction]]:
+        """Edge ``(v, u)`` → its interactions ``(t, q)`` in time order."""
+        edges: Dict[Edge, List[Interaction]] = {}
+        for t, v, u, q in self.rows:
+            edges.setdefault((v, u), []).append((t, q))
+        return edges
 
-    def copy(self) -> "TemporalGraph":
-        return TemporalGraph(
-            edges={e: list(seq) for e, seq in self.edges.items()},
-            source=self.source,
-            sink=self.sink,
-        )
+    @cached_property
+    def adjacency(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        """(out-neighbours, in-neighbours) adjacency maps."""
+        out: Dict[int, List[int]] = {}
+        inc: Dict[int, List[int]] = {}
+        for v, u in dict.fromkeys((v, u) for _, v, u, _ in self.rows):
+            out.setdefault(v, []).append(u)
+            inc.setdefault(u, []).append(v)
+        return out, inc
 
-    # -- basic accessors ----------------------------------------------
-    @property
-    def vertices(self) -> set:
-        vs = {v for e in self.edges for v in e}
-        vs.add(self.source)
-        vs.add(self.sink)
-        return vs
+    @cached_property
+    def vertices(self) -> FrozenSet[int]:
+        out, inc = self.adjacency
+        return frozenset((*out, *inc, self.source, self.sink))
 
     @property
     def n_interactions(self) -> int:
-        return sum(len(seq) for seq in self.edges.values())
-
-    def adjacency(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
-        """(out-neighbours, in-neighbours) adjacency maps."""
-        out: Dict[int, List[int]] = defaultdict(list)
-        inc: Dict[int, List[int]] = defaultdict(list)
-        for v, u in self.edges:
-            out[v].append(u)
-            inc[u].append(v)
-        return out, inc
-
-    def interactions_in_time_order(self) -> List[Tuple[float, int, int, float]]:
-        """All interactions as ``(t, src, dst, q)``, deterministically ordered.
-
-        Ties on ``t`` break by ``(src, dst, q, per-edge index)`` so the
-        greedy scan is reproducible regardless of edge-dict order.
-        """
-        rows = [
-            (t, v, u, q, k)
-            for (v, u), seq in self.edges.items()
-            for k, (t, q) in enumerate(seq)
-        ]
-        rows.sort()
-        return [(t, v, u, q) for t, v, u, q, _ in rows]
+        return len(self.rows)
 
     # -- structure checks ---------------------------------------------
     def topological_order(self) -> List[int]:
         """Kahn topological order of all vertices; raises on a cycle."""
-        out, inc = self.adjacency()
+        out, _ = self.adjacency
         vertices = self.vertices
         indeg = {v: 0 for v in vertices}
         for u, nbrs in out.items():
@@ -137,11 +125,3 @@ class TemporalGraph:
         if len(order) != len(vertices):
             raise ValueError("graph has a cycle; topological order undefined")
         return order
-
-    def is_dag(self) -> bool:
-        try:
-            self.topological_order()
-            return True
-        except ValueError:
-            return False
-

@@ -34,8 +34,7 @@ def _scan(
     B: Dict[int, float] = defaultdict(float)
     B[g.source] = math.inf
     transfers: List[Tuple[float, int, int, float, float]] = []
-    rows = g.interactions_in_time_order()
-    for t, group in groupby(rows, key=lambda r: r[0]):
+    for t, group in groupby(g.rows, key=lambda r: r[0]):
         arrivals: Dict[int, float] = defaultdict(float)
         for _, v, u, q in group:
             x = q if v == g.source else min(q, B[v])

@@ -3,13 +3,18 @@
 One pass over the vertices in topological order removes:
 
 * interactions on an outgoing edge of ``v`` with timestamp smaller than
-  the smallest timestamp entering ``v`` (they can never carry inflow);
-* edges whose interaction sequence becomes empty;
+  the smallest timestamp entering ``v`` (they can never carry inflow) —
+  that timestamp is ``v``'s *time floor*;
+* edges whose last interaction falls below their tail's floor;
 * vertices left with no incoming edges (nothing can flow through them)
   together with their outgoing edges;
 * vertices left with no outgoing edges (nothing can reach the sink via
   them) together with their incoming edges — cascading *upwards*
   recursively, since those predecessors were already visited.
+
+The pass changes only its own neighbour sets and floors; the result is a
+new graph of the input rows that survive, still in time order, and the
+input graph is left as it was.
 
 If the source loses all outgoing edges or the sink all incoming ones,
 the maximum flow is 0 and no solver needs to run. The whole procedure
@@ -17,6 +22,7 @@ is linear in the number of interactions.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import TemporalGraph
@@ -32,25 +38,21 @@ class PreprocessResult:
 
 
 def preprocess(g: TemporalGraph) -> PreprocessResult:
-    """Run Algorithm 1 on a copy of ``g`` (requires a DAG)."""
-    h = g.copy()
-    order = h.topological_order()  # raises on non-DAG, per the paper
-    s, t = h.source, h.sink
+    """Run Algorithm 1 on ``g`` (requires a DAG); ``g`` is unchanged."""
+    order = g.topological_order()  # raises on non-DAG, per the paper
+    s, t = g.source, g.sink
 
-    # Mutable adjacency (edge -> interactions lives in h.edges).
-    vertices = h.vertices
-    out = {v: set() for v in vertices}
-    inc = {v: set() for v in vertices}
-    for v, u in h.edges:
-        out[v].add(u)
-        inc[u].add(v)
-
-    n_inter0 = h.n_interactions
-    n_edges0 = len(h.edges)
+    # The algorithm's working state: each vertex's surviving neighbours,
+    # and its time floor, the earliest interaction that can enter it.
+    # An outgoing interaction below its tail's floor can never carry
+    # inflow; an edge whose last interaction is below it goes.
+    out_nb, in_nb = g.adjacency
+    out = {v: set(out_nb.get(v, ())) for v in g.vertices}
+    inc = {v: set(in_nb.get(v, ())) for v in g.vertices}
+    floor = dict.fromkeys(g.vertices, -math.inf)
     deleted_vertices = set()
 
     def delete_edge(v: int, u: int) -> None:
-        h.edges.pop((v, u), None)
         out[v].discard(u)
         inc[u].discard(v)
 
@@ -76,24 +78,22 @@ def preprocess(g: TemporalGraph) -> PreprocessResult:
         if not inc[v]:
             delete_vertex_down(v)
             continue
-        mintime = min(
-            tq[0] for w in inc[v] for tq in h.edges[(w, v)]
+        # Each surviving in-edge keeps an interaction at or above its
+        # tail's floor; the earliest of those is v's floor.
+        floor[v] = min(
+            next(x for x, _ in g.edges[(w, v)] if x >= floor[w]) for w in inc[v]
         )
         for u in list(out[v]):
-            seq = h.edges[(v, u)]
-            kept = [tq for tq in seq if tq[0] >= mintime]
-            if kept:
-                h.edges[(v, u)] = kept
-            else:
+            if g.edges[(v, u)][-1][0] < floor[v]:
                 delete_edge(v, u)
         if not out[v]:
             delete_vertex_up(v)
 
-    zero_flow = (not out[s]) or (not inc[t])
+    rows = tuple(r for r in g.rows if r[2] in out[r[1]] and r[0] >= floor[r[1]])
     return PreprocessResult(
-        graph=h,
-        interactions_removed=n_inter0 - h.n_interactions,
-        edges_removed=n_edges0 - len(h.edges),
+        graph=TemporalGraph(rows, s, t),
+        interactions_removed=len(g.rows) - len(rows),
+        edges_removed=len(g.edges) - sum(map(len, out.values())),
         vertices_removed=len(deleted_vertices),
-        zero_flow=zero_flow,
+        zero_flow=(not out[s]) or (not inc[t]),
     )

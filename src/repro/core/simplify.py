@@ -8,15 +8,19 @@ flow at ``s`` or at chain-interior vertices can never help (Lemma 3).
 If ``(s, v_k)`` already exists the two edges merge (their interaction
 sequences interleave by timestamp), which may create new reducible
 chains; the procedure iterates to a fixpoint. Each reduction removes at
-least one vertex, so the loop terminates, and overall cost is linear in
-the number of interactions processed.
+least one vertex, so the loop terminates.
+
+Each reduction is one pass over the graph's rows: the rows on the chain,
+already in time order, are the chain's own graph, and the next graph is
+the rows off the chain plus the deliveries ``(t, s, v_k, x)``. The input
+graph is left as it was.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
-from .graph import TemporalGraph
+from .graph import Row, TemporalGraph
 from .greedy import greedy_sink_deliveries
 
 
@@ -35,7 +39,7 @@ def _find_source_chain(g: TemporalGraph) -> List[int] | None:
     when no reducible chain exists. Deterministic: lowest-id ``v1``
     first.
     """
-    out, inc = g.adjacency()
+    out, inc = g.adjacency
     s = g.source
     for v1 in sorted(out.get(s, [])):
         if v1 == g.sink or len(inc.get(v1, [])) != 1 or len(out.get(v1, [])) != 1:
@@ -58,27 +62,21 @@ def _find_source_chain(g: TemporalGraph) -> List[int] | None:
 
 
 def simplify(g: TemporalGraph) -> SimplifyResult:
-    """Run Algorithm 2 on a copy of ``g`` until no chain remains."""
-    h = g.copy()
+    """Run Algorithm 2 on ``g`` until no chain remains; ``g`` is unchanged."""
+    h = g
     chains = 0
     removed = 0
-    while True:
-        path = _find_source_chain(h)
-        if path is None:
-            break
+    while (path := _find_source_chain(h)) is not None:
         s, vk = path[0], path[-1]
+        on_chain = set(zip(path, path[1:]))
+        chain: List[Row] = []
+        rest: List[Row] = []
+        for r in h.rows:
+            (chain if (r[1], r[2]) in on_chain else rest).append(r)
         # Greedy on the chain alone yields the deliveries into v_k.
-        chain_edges = {
-            (a, b): list(h.edges[(a, b)]) for a, b in zip(path, path[1:])
-        }
-        chain_g = TemporalGraph(edges=chain_edges, source=s, sink=vk)
-        deliveries: List[Tuple[float, float]] = greedy_sink_deliveries(chain_g)
-        for a, b in zip(path, path[1:]):
-            del h.edges[(a, b)]
+        deliveries = greedy_sink_deliveries(TemporalGraph(tuple(chain), s, vk))
+        rest += [(t, s, vk, x) for t, x in deliveries]
+        h = TemporalGraph(tuple(sorted(rest)), h.source, h.sink)
         removed += len(path) - 2
-        if deliveries:
-            merged = h.edges.get((s, vk), []) + deliveries
-            merged.sort(key=lambda tq: tq[0])
-            h.edges[(s, vk)] = merged
         chains += 1
     return SimplifyResult(graph=h, chains_reduced=chains, vertices_removed=removed)

@@ -12,7 +12,7 @@ from .graph import TemporalGraph
 
 def soluble_by_greedy(g: TemporalGraph) -> bool:
     """True iff Lemma 2 guarantees greedy == maximum flow for ``g``."""
-    out, _ = g.adjacency()
+    out, _ = g.adjacency
     for v in g.vertices:
         if v in (g.source, g.sink):
             continue

@@ -39,7 +39,7 @@ def build_lp(g: TemporalGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, floa
     straight from the source into the sink. ``A`` has ``2n`` rows: the
     eq. (1) bounds, then one eq. (2) row per variable.
     """
-    rows = g.interactions_in_time_order()
+    rows = g.rows
     var_rows = [r for r in rows if r[1] != g.source]
     n = len(var_rows)
     # fixed_in[v]: times and quantities of source-origin interactions

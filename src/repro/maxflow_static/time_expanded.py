@@ -32,7 +32,7 @@ from .dinic import Dinic
 
 def build_time_expanded(g: TemporalGraph) -> Tuple[Dinic, int, int]:
     """Construct the static network; returns ``(dinic, s_node, t_node)``."""
-    rows = g.interactions_in_time_order()
+    rows = g.rows
     # Distinct outgoing timestamps per vertex (spend points).
     out_times: Dict[int, List[float]] = {}
     for t, v, u, q in rows:

@@ -122,7 +122,11 @@ def _cycles(wedges: DataFrame, hops: int) -> DataFrame:
 def cycle_paths(interactions: DataFrame, hops: int) -> DataFrame:
     """All ``hops``-hop cycles as one row per path: ``(a, b)`` for
     ``a→b→a`` or ``(a, b, c)`` for ``a→b→c→a``, with pairwise distinct
-    vertices — the instances of patterns P2 and P3."""
+    vertices — the instances of patterns P2 and P3.
+
+    No job of the program calls it; it stays as the cycle enumerator's
+    public entry point, which perfbench's trace times and the tests
+    check against a DuckDB oracle."""
     return _cycles(_closed_wedges(interactions), hops)
 
 

@@ -1,4 +1,6 @@
 """Unit tests for the TemporalGraph substrate (repro.core.graph)."""
+import dataclasses
+
 import pytest
 
 from repro.core.graph import TemporalGraph
@@ -35,14 +37,14 @@ class TestConstruction:
         assert g.vertices == {0, 1, 2}
 
     def test_vertices_include_isolated_source_sink(self):
-        g = TemporalGraph(edges={}, source=7, sink=9)
+        g = TemporalGraph((), source=7, sink=9)
         assert g.vertices == {7, 9}
 
-    def test_copy_is_deep_for_interactions(self):
+    def test_graph_is_frozen(self):
         g = chain_graph()
-        h = g.copy()
-        h.edges[(0, 1)].append((9, 9.0))
-        assert len(g.edges[(0, 1)]) == 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.rows = ()
+        assert isinstance(g.rows, tuple)
 
     def test_float_vertex_ids_coerced_to_int(self):
         g = TemporalGraph.from_interactions([(0.0, 1.0, 1, 1.0)], source=0, sink=1)
@@ -51,20 +53,20 @@ class TestConstruction:
 
 class TestAccessors:
     def test_adjacency(self):
-        out, inc = diamond_graph().adjacency()
+        out, inc = diamond_graph().adjacency
         assert sorted(out[0]) == [1, 2]
         assert sorted(inc[3]) == [1, 2]
 
     def test_time_order_is_global(self):
         g = chain_graph()
-        ts = [t for t, *_ in g.interactions_in_time_order()]
+        ts = [t for t, *_ in g.rows]
         assert ts == sorted(ts) == [1, 3, 4]
 
     def test_time_order_tie_break_deterministic(self):
         g = TemporalGraph.from_interactions(
             [(2, 3, 5, 1.0), (0, 1, 5, 1.0), (1, 2, 5, 1.0)], source=0, sink=3
         )
-        rows = g.interactions_in_time_order()
+        rows = g.rows
         assert [(v, u) for _, v, u, _ in rows] == [(0, 1), (1, 2), (2, 3)]
 
 
@@ -84,11 +86,4 @@ class TestTopology:
         )
         with pytest.raises(ValueError):
             g.topological_order()
-
-    def test_is_dag(self):
-        assert diamond_graph().is_dag()
-        g = TemporalGraph.from_interactions(
-            [(1, 2, 1, 1.0), (2, 1, 2, 1.0)], source=1, sink=2
-        )
-        assert not g.is_dag()
 

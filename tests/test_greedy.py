@@ -107,7 +107,7 @@ class TestStrictTimestampSemantics:
 
 class TestDegenerate:
     def test_empty_graph_flow_zero(self):
-        g = TemporalGraph(edges={}, source=0, sink=1)
+        g = TemporalGraph((), source=0, sink=1)
         assert greedy_flow(g) == pytest.approx(0.0)
 
     def test_disconnected_sink(self):

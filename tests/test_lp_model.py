@@ -154,7 +154,7 @@ def test_lp_solution_respects_bounds(seed):
 def build_lp_reference(g):
     """``build_lp`` as one loop per variable over its vertex's siblings:
     the reference the broadcast builder must match bit for bit."""
-    rows = g.interactions_in_time_order()
+    rows = g.rows
     var_rows = [r for r in rows if r[1] != g.source]
     n = len(var_rows)
     out_vars, in_vars, fixed_in = {}, {}, {}

@@ -2,10 +2,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.graph import TemporalGraph
 from repro.core.pipeline import run_all_methods, run_greedy, run_lp, run_pre, run_presim
+from repro.core.preprocess import preprocess
 from repro.core.randgen import random_temporal_dag
+from repro.core.simplify import simplify
 from repro.maxflow_static.time_expanded import max_flow_time_expanded
 
 
@@ -103,3 +107,45 @@ def test_all_methods_consistent_on_random_dags(seed):
     assert row["flow_greedy"] <= exact + 1e-6
     if row["cls"] in ("A", "B"):
         assert row["flow_greedy"] == pytest.approx(exact, abs=1e-6) or row["cls"] == "B"
+
+
+# A DAG interaction (src, dst, t, q) on vertices 0..5, ids in topological
+# order; 0 is the source and 5 the sink. Five timestamps and three
+# quantities make timestamp ties within and across edges common.
+_dag_row = st.builds(
+    lambda a, b, t, q: (min(a, b), max(a, b), t, q),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 4),
+    st.sampled_from([1.0, 2.0, 3.5]),
+).filter(lambda r: r[0] != r[1])
+# Rows with exact duplicates appended, and a permutation of them.
+_rows_and_permutation = (
+    st.lists(_dag_row, min_size=1, max_size=12)
+    .map(lambda rows: rows + rows[: len(rows) // 2 + 1])
+    .flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows)))
+)
+_TIED_IN_EDGE = [(0, 1, 1, 2.0), (0, 1, 1, 1.0), (0, 1, 1, 2.0), (1, 2, 1, 3.5), (1, 5, 2, 1.0), (2, 5, 3, 2.0)]
+_TIED_ACROSS = [(0, 1, 1, 1.0), (0, 2, 1, 1.0), (1, 5, 2, 1.0), (2, 5, 2, 1.0), (2, 5, 2, 1.0), (1, 2, 2, 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows_and_permutation)
+@example((_TIED_IN_EDGE, _TIED_IN_EDGE[::-1]))
+@example((_TIED_ACROSS, _TIED_ACROSS[::-1]))
+def test_row_order_does_not_matter(rows_and_permutation):
+    """Any permutation of the input rows, exact duplicates included, gives
+    the same ``rows`` and bit-equal flows from every method, and
+    Algorithms 1 and 2 leave their input graph as it was."""
+    g, h = (TemporalGraph.from_interactions(r, source=0, sink=5) for r in rows_and_permutation)
+    assert g.rows == h.rows
+    before_rows, before_edges = g.rows, {e: list(seq) for e, seq in g.edges.items()}
+    preprocess(g)
+    simplify(g)
+    assert g.rows == before_rows
+    assert g.edges == before_edges
+
+    for run in (run_greedy, run_lp, run_pre, run_presim):
+        a, b = run(g), run(h)
+        assert (a.flow.hex(), a.cls) == (b.flow.hex(), b.cls), run.__name__
+    assert max_flow_time_expanded(g).hex() == max_flow_time_expanded(h).hex()

@@ -152,8 +152,9 @@ class TestExactFlows:
     """Every P1-P6 instance's flow, from GB and from PB-P4's per-instance
     pass, is the exact time-expanded max flow of the instance's DAG as
     :func:`instance_graph` builds it locally: an independent check of the
-    seed split done in the Spark plan. GB = PB for P1-P3 holds by
-    construction, since the path tables are GB's rows."""
+    seed split done in the Spark plan. GB = PB for P1-P3, RP1 and RP2
+    holds by construction, since the path tables are GB's rows, so the
+    relaxed patterns are checked against their paths' exact flows."""
 
     @pytest.fixture(scope="class")
     def seqs(self, interactions_pdf):
@@ -179,6 +180,54 @@ class TestExactFlows:
             exact = max_flow_time_expanded(instance_graph(pattern, mapping, seqs))
             assert math.isclose(flow, exact, rel_tol=1e-6, abs_tol=1e-9), (
                 name, mapping, flow, exact)
+
+    @pytest.mark.parametrize("name", ["RP1", "RP2", "RP3"])
+    def test_relaxed_flow_against_its_paths(self, name, interactions, seqs):
+        """RP1 and RP2 add up their parallel paths' flows; RP3 adds a
+        vertex-disjoint subset of them, so it can only be smaller. Here
+        the paths are enumerated from the raw interactions and each one's
+        flow is the time-expanded max flow of its P1, P2 or P3 instance
+        graph, independent of the path tables both GB and PB read."""
+        path = ALL_PATTERNS[name[1:]]  # RP1 -> P1, ...
+        keys = ["a", "c"] if name == "RP1" else ["a"]
+        total, n_paths = defaultdict(float), defaultdict(int)
+        for mapping in _local_paths(name[1:], seqs):
+            key = tuple(mapping[k] for k in keys)
+            total[key] += max_flow_time_expanded(instance_graph(path, mapping, seqs))
+            n_paths[key] += 1
+        pdf = gb_search(interactions, ALL_PATTERNS[name]).toPandas()
+        got = {
+            tuple(map(int, key)): (flow, n)
+            for key, flow, n in zip(
+                pdf[keys].itertuples(index=False), pdf["flow"], pdf["n_paths"]
+            )
+        }
+        assert len(got) == len(pdf) and set(got) == set(total), name
+        for key, (flow, n) in got.items():
+            if name == "RP3":
+                assert 1 <= n <= n_paths[key]
+                assert flow <= total[key] * (1 + 1e-6) + 1e-9, (key, flow, total[key])
+            else:
+                assert n == n_paths[key]
+                assert math.isclose(flow, total[key], rel_tol=1e-6, abs_tol=1e-9), (
+                    name, key, flow, total[key])
+
+
+def _local_paths(name, seqs):
+    """Every P1 (``a→b→c``), P2 (``a→b→a``) or P3 (``a→b→c→a``) path over
+    the edges of ``seqs``, with distinct vertices, as a label mapping."""
+    edges = {e for e in seqs if e[0] != e[1]}
+    succ = defaultdict(set)
+    for a, b in edges:
+        succ[a].add(b)
+    for a, b in edges:
+        if name == "P2":
+            if (b, a) in edges:
+                yield {"a": a, "b": b}
+            continue
+        for c in succ[b] - {a, b}:
+            if name == "P1" or (c, a) in edges:
+                yield {"a": a, "b": b, "c": c}
 
 
 class TestRelaxedAggregation:

@@ -62,7 +62,10 @@ class TestSeedEdgeSets:
                 for u, v in zip(grp["u"], grp["v"])
             ]
             g = TemporalGraph.from_interactions(rows, source=SOURCE, sink=SINK)
-            assert g.is_dag(), f"seed {seed} produced a cyclic subgraph"
+            try:
+                g.topological_order()
+            except ValueError:
+                pytest.fail(f"seed {seed} produced a cyclic subgraph")
 
     def test_seed_has_out_and_in_edges(self, interactions):
         pdf = seed_edge_sets(interactions).toPandas()
