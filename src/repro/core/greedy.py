@@ -19,38 +19,45 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import groupby
 from typing import Dict, List, Tuple
 
 from .graph import TemporalGraph
 
 
-def _scan(
-    g: TemporalGraph,
-) -> Tuple[List[Tuple[float, int, int, float, float]], Dict[int, float]]:
-    """Run the scan; return ``(transfers, final_buffers)`` where each
-    transfer is ``(t, v, u, q, x)`` with ``x`` the quantity actually
-    moved by the greedy rule."""
+def _scan(g: TemporalGraph) -> Tuple[Dict[int, float], List[Tuple[float, float]]]:
+    """Run the scan; return ``(final_buffers, sink_deliveries)``, the
+    latter the ``(t, x)`` of every interaction that moved ``x > 0`` into
+    the sink."""
+    s, sink = g.source, g.sink
     B: Dict[int, float] = defaultdict(float)
-    B[g.source] = math.inf
-    transfers: List[Tuple[float, int, int, float, float]] = []
-    for t, group in groupby(g.rows, key=lambda r: r[0]):
-        arrivals: Dict[int, float] = defaultdict(float)
-        for _, v, u, q in group:
-            x = q if v == g.source else min(q, B[v])
-            if v != g.source:
-                B[v] -= x
-            arrivals[u] += x
-            transfers.append((t, v, u, q, x))
-        # Quantities arriving at time t become spendable only after t.
-        for u, a in arrivals.items():
-            B[u] += a
-    return transfers, dict(B)
+    B[s] = math.inf
+    delivered: List[Tuple[float, float]] = []
+    # Quantities arriving at time t become spendable only after t: they
+    # wait here, summed per vertex, until the timestamp changes.
+    arrivals: Dict[int, float] = {}
+    now = None
+    for t, v, u, q in g.rows:
+        if t != now:
+            for w, a in arrivals.items():
+                B[w] += a
+            arrivals.clear()
+            now = t
+        if v == s:
+            x = q
+        else:
+            x = min(q, B[v])
+            B[v] -= x
+        arrivals[u] = arrivals.get(u, 0.0) + x
+        if u == sink and x > 0:
+            delivered.append((t, x))
+    for w, a in arrivals.items():
+        B[w] += a
+    return dict(B), delivered
 
 
 def greedy_buffers(g: TemporalGraph) -> Dict[int, float]:
     """Run the greedy scan; return the final buffer of every vertex."""
-    return _scan(g)[1]
+    return _scan(g)[0]
 
 
 def greedy_flow(g: TemporalGraph) -> float:
@@ -68,5 +75,4 @@ def greedy_sink_deliveries(g: TemporalGraph) -> List[Tuple[float, float]]:
     path's PreSim flow, which on a path is the greedy flow, this
     sequence's sum (Lemma 1).
     """
-    transfers, _ = _scan(g)
-    return [(t, x) for t, v, u, q, x in transfers if u == g.sink and x > 0]
+    return _scan(g)[1]

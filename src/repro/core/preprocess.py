@@ -17,8 +17,11 @@ new graph of the input rows that survive, still in time order, and the
 input graph is left as it was.
 
 If the source loses all outgoing edges or the sink all incoming ones,
-the maximum flow is 0 and no solver needs to run. The whole procedure
-is linear in the number of interactions.
+the maximum flow is 0 and no solver needs to run. The pass and the
+final filter are linear in the number of interactions; the topological
+order before them sorts (its ready vertices and each vertex's
+out-neighbours, lowest id first), so the whole procedure costs
+``O(E log E)`` on top of that.
 """
 from __future__ import annotations
 

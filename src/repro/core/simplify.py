@@ -10,17 +10,19 @@ sequences interleave by timestamp), which may create new reducible
 chains; the procedure iterates to a fixpoint. Each reduction removes at
 least one vertex, so the loop terminates.
 
-Each reduction is one pass over the graph's rows: the rows on the chain,
-already in time order, are the chain's own graph, and the next graph is
-the rows off the chain plus the deliveries ``(t, s, v_k, x)``. The input
-graph is left as it was.
+The loop's working state is each edge's rows plus the neighbour sets,
+so a reduction costs what its chain holds: it pops the chain's edges,
+runs greedy on their rows (the chain's own graph) and adds the
+deliveries ``(t, s, v_k, x)`` to the rows of ``(s, v_k)``. The
+surviving rows are sorted once, into the result graph; the input graph
+is left as it was.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Collection, Dict, List, Mapping, Set
 
-from .graph import Row, TemporalGraph
+from .graph import Edge, Row, TemporalGraph
 from .greedy import greedy_sink_deliveries
 
 
@@ -40,20 +42,30 @@ def _find_source_chain(g: TemporalGraph) -> List[int] | None:
     first.
     """
     out, inc = g.adjacency
-    s = g.source
-    for v1 in sorted(out.get(s, [])):
-        if v1 == g.sink or len(inc.get(v1, [])) != 1 or len(out.get(v1, [])) != 1:
+    return _source_chain(out, inc, g.source, g.sink)
+
+
+def _source_chain(
+    out: Mapping[int, Collection[int]],
+    inc: Mapping[int, Collection[int]],
+    s: int,
+    sink: int,
+) -> List[int] | None:
+    """:func:`_find_source_chain` on the out- and in-neighbours of each
+    vertex (lists or sets; a missing vertex has none)."""
+    for v1 in sorted(out.get(s, ())):
+        if v1 == sink or len(inc.get(v1, ())) != 1 or len(out.get(v1, ())) != 1:
             continue
         path = [s, v1]
         cur = v1
         while True:
-            nxt = out[cur][0]
+            (nxt,) = out[cur]
             path.append(nxt)
             if (
-                nxt == g.sink
+                nxt == sink
                 or nxt == s
-                or len(inc.get(nxt, [])) != 1
-                or len(out.get(nxt, [])) != 1
+                or len(inc.get(nxt, ())) != 1
+                or len(out.get(nxt, ())) != 1
             ):
                 break
             cur = nxt
@@ -63,20 +75,33 @@ def _find_source_chain(g: TemporalGraph) -> List[int] | None:
 
 def simplify(g: TemporalGraph) -> SimplifyResult:
     """Run Algorithm 2 on ``g`` until no chain remains; ``g`` is unchanged."""
-    h = g
+    s = g.source
+    rows: Dict[Edge, List[Row]] = {}
+    for r in g.rows:
+        rows.setdefault((r[1], r[2]), []).append(r)
+    out: Dict[int, Set[int]] = {}
+    inc: Dict[int, Set[int]] = {}
+    for v, u in rows:
+        out.setdefault(v, set()).add(u)
+        inc.setdefault(u, set()).add(v)
     chains = 0
     removed = 0
-    while (path := _find_source_chain(h)) is not None:
-        s, vk = path[0], path[-1]
-        on_chain = set(zip(path, path[1:]))
-        chain: List[Row] = []
-        rest: List[Row] = []
-        for r in h.rows:
-            (chain if (r[1], r[2]) in on_chain else rest).append(r)
-        # Greedy on the chain alone yields the deliveries into v_k.
+    while (path := _source_chain(out, inc, s, g.sink)) is not None:
+        vk = path[-1]
+        # Greedy on the chain alone yields the deliveries into v_k; the
+        # interior vertices go with the chain's edges.
+        chain = sorted(r for e in zip(path, path[1:]) for r in rows.pop(e))
         deliveries = greedy_sink_deliveries(TemporalGraph(tuple(chain), s, vk))
-        rest += [(t, s, vk, x) for t, x in deliveries]
-        h = TemporalGraph(tuple(sorted(rest)), h.source, h.sink)
+        out[s].discard(path[1])
+        inc[vk].discard(path[-2])
+        for v in path[1:-1]:
+            del out[v], inc[v]
+        if deliveries:
+            rows.setdefault((s, vk), []).extend((t, s, vk, x) for t, x in deliveries)
+            out[s].add(vk)
+            inc[vk].add(s)
         removed += len(path) - 2
         chains += 1
-    return SimplifyResult(graph=h, chains_reduced=chains, vertices_removed=removed)
+    if chains:
+        g = TemporalGraph(tuple(sorted(r for rs in rows.values() for r in rs)), s, g.sink)
+    return SimplifyResult(graph=g, chains_reduced=chains, vertices_removed=removed)

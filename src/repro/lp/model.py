@@ -16,10 +16,14 @@ interactions strictly before ``t_i``. The objective (eq. 3) maximizes
 the total quantity arriving at the sink (plus the constant contribution
 of any direct source→sink interactions).
 
-The eq. (2) block is built by broadcasting the variables' sources,
-destinations and timestamps against each other (one ``n × n`` comparison
-per term), and ``F_v`` by a running sum of ``v``'s fixed inflow looked up
-with ``searchsorted``; no Python loop runs per variable pair.
+Like lpsolve, the solver gets eq. (1) as bounds, not rows:
+:func:`flow_lp` builds the ``n × n`` eq. (2) block, its right-hand side
+and the bound vector ``q``, and :func:`solve_flow_lp` hands them to the
+simplex as they are. The eq. (2) block is built by broadcasting the
+variables' sources, destinations and timestamps against each other (one
+``n × n`` comparison per term), and ``F_v`` by a running sum of ``v``'s
+fixed inflow looked up with ``searchsorted``; no Python loop runs per
+variable pair.
 """
 from __future__ import annotations
 
@@ -27,17 +31,20 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..core.graph import TemporalGraph
+from ..core.graph import Row, TemporalGraph
 from .simplex import LPResult, solve_lp_maximize
 
 
-def build_lp(g: TemporalGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, List[Tuple[float, int, int, float]]]:
-    """Build ``(c, A, b, constant, variables)`` for the max-flow LP.
+def flow_lp(
+    g: TemporalGraph,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, List[Row]]:
+    """Build ``(c, A, b, q, constant, variables)``: the LP
+    ``max c@x s.t. A@x <= b, 0 <= x <= q``.
 
-    ``variables[k]`` is the interaction ``(t, src, dst, q)`` that
-    variable ``k`` controls; ``constant`` is the fixed flow delivered
-    straight from the source into the sink. ``A`` has ``2n`` rows: the
-    eq. (1) bounds, then one eq. (2) row per variable.
+    ``A`` is the ``n × n`` eq. (2) block and ``q`` the eq. (1) bounds.
+    ``variables[k]`` is the interaction ``(t, src, dst, q)`` that variable
+    ``k`` controls; ``constant`` is the fixed flow delivered straight from
+    the source into the sink.
     """
     rows = g.rows
     var_rows = [r for r in rows if r[1] != g.source]
@@ -56,17 +63,15 @@ def build_lp(g: TemporalGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, floa
                 qs.append(q)
 
     c = np.zeros(n)
-    A = np.zeros((2 * n, n))
-    b = np.zeros(2 * n)
+    A = np.zeros((n, n))
+    b = np.zeros(n)
     if n == 0:
-        return c, A, b, constant, var_rows
+        return c, A, b, np.zeros(0), constant, var_rows
     t, src, dst, q = (np.array(col) for col in zip(*var_rows))
     c[dst == g.sink] = 1.0
-    A[np.arange(n), np.arange(n)] = 1.0
-    b[:n] = q
-    # Eq. (2) row n + k, column j. Outgoing siblings at the *same*
-    # timestamp are included (<=), k itself among them: the paper's strict
-    # "<" would let simultaneous interactions each spend the full buffer
+    # Eq. (2) row k, column j. Outgoing siblings at the *same* timestamp
+    # are included (<=), k itself among them: the paper's strict "<"
+    # would let simultaneous interactions each spend the full buffer
     # independently. With "<=", every member of a same-timestamp group
     # carries the joint constraint
     #   sum(group) + earlier-out - earlier-in <= fixed-in,
@@ -74,20 +79,41 @@ def build_lp(g: TemporalGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, floa
     # stays strict, so a self-loop j at v cancels to 0 unless t_j = t_k.
     earlier_eq = t[None, :] <= t[:, None]
     earlier = t[None, :] < t[:, None]
-    A[n:] = (src[None, :] == src[:, None]) & earlier_eq
-    A[n:] -= (dst[None, :] == src[:, None]) & earlier
+    A[:] = (src[None, :] == src[:, None]) & earlier_eq
+    A -= (dst[None, :] == src[:, None]) & earlier
     for v, (ts, qs) in fixed_in.items():
         (ks,) = (src == v).nonzero()
         if ks.size:
             before = np.concatenate(([0.0], np.cumsum(qs)))
-            b[n + ks] = before[np.searchsorted(ts, t[ks], side="left")]
+            b[ks] = before[np.searchsorted(ts, t[ks], side="left")]
+    return c, A, b, q.astype(np.float64), constant, var_rows
+
+
+def build_lp(g: TemporalGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, List[Row]]:
+    """The LP of :func:`flow_lp` with eq. (1) as rows: ``(c, A, b,
+    constant, variables)``, where ``A`` has ``2n`` rows, the identity
+    block of the bounds ``x_i <= q_i`` on top of the eq. (2) block.
+
+    :func:`solve_lp_maximize` presolves the identity rows back into the
+    same bounds, so this form solves along the same pivot path.
+    """
+    c, A2, b2, q, constant, var_rows = flow_lp(g)
+    n = len(var_rows)
+    A = np.concatenate((np.eye(n), A2))
+    b = np.concatenate((q, b2))
     return c, A, b, constant, var_rows
+
+
+def solve_flow_lp(g: TemporalGraph) -> LPResult:
+    """Solve the max-flow LP of ``g``; the value includes the fixed
+    source→sink flow."""
+    c, A, b, q, constant, var_rows = flow_lp(g)
+    if not var_rows:
+        return LPResult(constant, np.zeros(0), 0)
+    res = solve_lp_maximize(c, A, b, upper=q)
+    return LPResult(res.value + constant, res.x, res.iterations)
 
 
 def max_flow_lp(g: TemporalGraph) -> float:
     """Solve the max-flow LP for ``g`` and return the optimal flow."""
-    c, A, b, constant, var_rows = build_lp(g)
-    if len(var_rows) == 0:
-        return constant
-    res: LPResult = solve_lp_maximize(c, A, b)
-    return res.value + constant
+    return solve_flow_lp(g).value

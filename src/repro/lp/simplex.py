@@ -5,15 +5,18 @@ other LP package) is unavailable here, so this module implements the
 solver from scratch. Scope is exactly what `repro.lp.model` produces:
 
     maximize    c @ x
-    subject to  A @ x <= b,   x >= 0,   with b >= 0
+    subject to  A @ x <= b,   0 <= x <= upper,   with b >= 0
 
-Like lpsolve, it presolves and keeps bounds out of the constraint matrix:
+Like lpsolve, it takes bounds as data and keeps them out of the
+constraint matrix; the flow LP passes its eq. (1) ``x_i <= q_i`` as
+``upper``.
 
 * **Presolve.** A row with one nonzero coefficient ``a > 0`` becomes the
-  upper bound ``x_k <= b / a`` (the tightest one wins when several rows
-  bound the same variable). A row with one negative coefficient, or none,
-  can never bind since ``x >= 0`` and ``b >= 0``, and is dropped. Every
-  eq. (1) row ``x_i <= q_i`` of the flow LP becomes a bound this way.
+  upper bound ``x_k <= b / a`` (the tightest of these and ``upper[k]``
+  wins), as does the eq. (2) row of an interaction with no earlier
+  siblings. A row with one negative coefficient, or none, can never bind
+  since ``x >= 0`` and ``b >= 0``, and is dropped. The tableau is filled
+  from the rows that are left, straight from ``A``.
 * **Bounded ratio test** (upper-bounding technique). A nonbasic variable
   at its upper bound ``u`` is substituted as ``x = u - x'``: its column is
   negated and the right-hand side shifted. The step stops at the first of
@@ -64,9 +67,11 @@ def solve_lp_maximize(
     A: np.ndarray,
     b: np.ndarray,
     *,
+    upper: np.ndarray | None = None,
     max_iter: int | None = None,
 ) -> LPResult:
-    """Solve ``max c@x s.t. A@x <= b, x >= 0`` (requires ``b >= 0``).
+    """Solve ``max c@x s.t. A@x <= b, 0 <= x <= upper`` (requires
+    ``b >= 0``; ``upper`` defaults to no bounds).
 
     Returns the optimal value and one optimal vertex solution. Raises
     :class:`SimplexError` if the LP is unbounded (cannot happen for the
@@ -80,20 +85,29 @@ def solve_lp_maximize(
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise SimplexError("shape mismatch between c, A, b")
+    upper = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=np.float64)
+    if upper.shape != (n,):
+        raise SimplexError("shape mismatch between A and upper")
+    if np.any(upper < 0):
+        raise SimplexError("upper must be non-negative")
     if np.any(b < -_TOL):
         raise SimplexError("b must be non-negative (all-slack basis infeasible)")
     b = np.maximum(b, 0.0)
     if n == 0:
         return LPResult(0.0, np.zeros(0), 0)
 
-    A, b, ub = _presolve(A, b)
-    m = A.shape[0]
-    # Tableau: m rows of [A | I | b] and an objective row [-c | 0 | 0].
-    # Variable k is structural for k < n and the slack of row k - n after.
+    kept, ub = _presolve(A, b, upper)
+    m = kept.size
+    # Tableau: m rows of [A[kept] | I | b[kept]] and an objective row
+    # [-c | 0 | 0]. Variable k is structural for k < n and the slack of
+    # row k - n after. The kept rows go in one at a time: every numpy
+    # gather of them (``A[kept]``, ``take`` or ``compress`` with ``out``)
+    # buffers a full copy first.
     T = np.zeros((m + 1, n + m + 1), dtype=np.float64)
-    T[:m, :n] = A
+    for r, k in enumerate(kept):
+        T[r, :n] = A[k]
     T[np.arange(m), n + np.arange(m)] = 1.0
-    T[:m, -1] = b
+    T[:m, -1] = b[kept]
     T[m, :n] = -c
     upper = np.concatenate([ub, np.full(m, np.inf)])
     # at_upper[k]: variable k is held as x' = upper[k] - x in the tableau.
@@ -175,11 +189,12 @@ def solve_lp_maximize(
     raise SimplexError(f"simplex did not terminate in {max_iter} iterations")
 
 
-def _presolve(A: np.ndarray, b: np.ndarray):
+def _presolve(A: np.ndarray, b: np.ndarray, upper: np.ndarray):
     """Turn singleton rows into variable bounds; drop rows that cannot bind.
 
-    Returns the remaining ``(A, b)`` rows and the upper bound of each
-    variable (``inf`` where no singleton row bounds it).
+    Returns the indices of the remaining rows and the upper bound of each
+    variable: the tightest of ``upper`` and its singleton rows (``inf``
+    where neither bounds it).
     """
     nonzero = A != 0
     count = nonzero.sum(axis=1)
@@ -187,10 +202,9 @@ def _presolve(A: np.ndarray, b: np.ndarray):
     cols = nonzero[rows].argmax(axis=1)
     a = A[rows, cols]
     pos = a > 0
-    ub = np.full(A.shape[1], np.inf)
+    ub = upper.copy()
     np.minimum.at(ub, cols[pos], b[rows[pos]] / a[pos])
-    keep = count > 1
-    return A[keep], b[keep], ub
+    return np.flatnonzero(count > 1), ub
 
 
 def _pivot(T: np.ndarray, r: int, j: int, col: np.ndarray, nz: np.ndarray) -> None:

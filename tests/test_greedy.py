@@ -1,8 +1,16 @@
-"""Greedy flow computation vs the paper's worked examples (Section 4.1)."""
+"""Greedy flow computation vs the paper's worked examples (Section 4.1)
+and a reference scan."""
+import math
+from collections import defaultdict
+from itertools import groupby
+
 import pytest
+from hypothesis import example, given, settings
 
 from repro.core.graph import TemporalGraph
 from repro.core.greedy import greedy_buffers, greedy_flow, greedy_sink_deliveries
+
+from .strategies import graph, interactions
 
 S, Y, Z, T = 0, 1, 2, 3
 
@@ -119,3 +127,40 @@ class TestDegenerate:
             [(1, 2, 1, 5.0), (0, 1, 3, 5.0)], source=0, sink=2
         )
         assert greedy_flow(g) == pytest.approx(0.0)
+
+
+def scan_reference(g):
+    """The greedy scan as one transfer per interaction, the arrivals of
+    each timestamp group summed in a dict of their own: the reference the
+    scan must match bit for bit. Returns ``(transfers, final_buffers)``,
+    each transfer ``(t, v, u, q, x)``."""
+    B = defaultdict(float)
+    B[g.source] = math.inf
+    transfers = []
+    for t, group in groupby(g.rows, key=lambda r: r[0]):
+        arrivals = defaultdict(float)
+        for _, v, u, q in group:
+            x = q if v == g.source else min(q, B[v])
+            if v != g.source:
+                B[v] -= x
+            arrivals[u] += x
+            transfers.append((t, v, u, q, x))
+        for u, a in arrivals.items():
+            B[u] += a
+    return transfers, dict(B)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interactions)
+@example([(2, 3, 1, 1.0), (2, 3, 1, 2.0), (2, 4, 1, 3.0), (4, 2, 1, 0.5), (3, 2, 1, 0.7)])  # ties
+@example([(0, 2, 1, 1.1), (0, 2, 1, 2.2), (2, 1, 2, 1.0), (2, 1, 2, 1.0), (2, 1, 3, 5.0)])  # parallel
+@example([(2, 2, 1, 1.0), (2, 2, 2, 1.0), (2, 1, 2, 3.0), (0, 2, 0, 2.0)])  # self-loops
+@example([(0, 2, 0, 0.1), (0, 2, 1, 0.2), (0, 2, 1, 0.3)])  # a group's arrivals sum first
+def test_scan_matches_reference(rows):
+    g = graph(rows)
+    transfers, buffers = scan_reference(g)
+    assert greedy_buffers(g) == buffers
+    assert greedy_flow(g) == buffers.get(g.sink, 0.0)
+    assert greedy_sink_deliveries(g) == [
+        (t, x) for t, v, u, q, x in transfers if u == g.sink and x > 0
+    ]

@@ -1,15 +1,18 @@
 """Maximum-flow LP (Section 4.2.1) vs paper examples, a loop reference
 builder and the exact time-expanded solver."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from repro.core.graph import TemporalGraph
 from repro.core.randgen import random_temporal_dag
-from repro.lp.model import build_lp, max_flow_lp
+from repro.lp.model import build_lp, flow_lp, max_flow_lp, solve_flow_lp
 from repro.lp.simplex import solve_lp_maximize
 from repro.maxflow_static.time_expanded import max_flow_time_expanded
+
+from .strategies import graph, interactions
 
 
 def figure3_graph():
@@ -46,6 +49,11 @@ class TestModelStructure:
         c, A, b, const, var_rows = build_lp(figure3_graph())
         assert len(var_rows) == 3  # (y,z), (y,t), (z,t)
         assert A.shape == (6, 3)  # one bound + one eq-2 row per variable
+
+    def test_flow_lp_keeps_bounds_out_of_the_matrix(self):
+        c, A, b, q, const, var_rows = flow_lp(figure3_graph())
+        assert A.shape == (3, 3)  # one eq-2 row per variable
+        assert q.tolist() == [5.0, 4.0, 1.0]
 
     def test_objective_marks_sink_edges(self):
         c, A, b, const, var_rows = build_lp(figure3_graph())
@@ -136,7 +144,27 @@ def test_golden_pivot_path_at_bench_size(seed):
     c, A, b, constant, var_rows = build_lp(g)
     assert len(var_rows) == n_vars
     assert solve_lp_maximize(c, A, b).iterations == iterations
+    assert solve_flow_lp(g).iterations == iterations
     assert max_flow_lp(g) == value
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_PIVOT_PATHS))
+def test_flow_lp_peak_memory_at_bench_size(seed):
+    # The solver's working set is the n x n eq. (2) block plus a tableau of
+    # at most (n+1) x (2n+1): no eq. (1) rows and no copy of the kept rows.
+    n = GOLDEN_PIVOT_PATHS[seed][0]
+    g = bench_size_dag(seed)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        max_flow_lp(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < (n * n + (n + 1) * (2 * n + 1)) * 8 * 1.1
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -195,21 +223,8 @@ def build_lp_reference(g):
     return c, A, b, constant, var_rows
 
 
-# Vertex 0 is the source and 1 the sink; few vertices and timestamps make
-# parallel interactions, self-loops and timestamp ties common.
-_interaction = st.tuples(
-    st.integers(0, 4),
-    st.integers(0, 4),
-    st.one_of(st.integers(0, 3), st.sampled_from([0.5, 2.5])),
-    st.one_of(
-        st.floats(0.01, 50.0, allow_nan=False, allow_infinity=False),
-        st.integers(1, 9),
-    ),
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_interaction, max_size=16))
+@given(interactions)
 @example([])  # no interactions, no variables
 @example([(0, 2, 1, 4.0), (0, 1, 1, 2.0)])  # only fixed source flow
 @example([(0, 1, 1, 3.0), (0, 1, 2, 0.25), (0, 2, 1, 1.5), (2, 1, 2, 1.5)])  # source->sink
@@ -218,7 +233,7 @@ _interaction = st.tuples(
 @example([(0, 2, 1, 5.0), (0, 2, 1, 0.3), (2, 1, 1, 4.0), (0, 2, 2, 0.1), (2, 3, 2, 1.0)])  # tied inflow
 @example([(2, 2, 1, 1.0), (2, 2, 2, 1.0), (2, 1, 2, 3.0), (0, 2, 0, 2.0)])  # self-loops
 def test_build_lp_matches_loop_reference(rows):
-    g = TemporalGraph.from_interactions(rows, source=0, sink=1)
+    g = graph(rows)
     c, A, b, constant, var_rows = build_lp(g)
     c_ref, A_ref, b_ref, constant_ref, var_rows_ref = build_lp_reference(g)
     assert var_rows == var_rows_ref
@@ -226,3 +241,21 @@ def test_build_lp_matches_loop_reference(rows):
     for got, want in ((c, c_ref), (A, A_ref), (b, b_ref)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interactions)
+@example([(2, 3, 1, 1.0), (2, 3, 1, 2.0), (2, 4, 1, 3.0), (4, 2, 1, 0.5), (3, 2, 1, 0.7)])  # ties
+@example([(2, 2, 1, 1.0), (2, 2, 2, 1.0), (2, 1, 2, 3.0), (0, 2, 0, 2.0)])  # self-loops
+def test_flow_lp_solves_like_the_loop_reference(rows):
+    # Eq. (1) as bounds and eq. (1) as rows that presolve turns into the
+    # same bounds: one tableau, one pivot path, bit for bit.
+    g = graph(rows)
+    c, A, b, constant, _ = build_lp_reference(g)
+    want = solve_lp_maximize(c, A, b)
+    c, A, b, _, _ = build_lp(g)
+    for got in (solve_lp_maximize(c, A, b), solve_flow_lp(g)):
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.x, want.x)
+    assert solve_lp_maximize(c, A, b).value == want.value
+    assert solve_flow_lp(g).value == max_flow_lp(g) == want.value + constant

@@ -121,6 +121,22 @@ class TestKnownLPs:
         assert res.x == pytest.approx([2.5])
 
 
+class TestUpperBounds:
+    def test_bounds_as_data(self):
+        # max x + y s.t. x + y <= 5, x <= 3, y <= 4, the bounds given as data.
+        res = solve_lp_maximize([1.0, 1.0], [[1, 1]], [5.0], upper=[3.0, 4.0])
+        assert res.value == pytest.approx(5.0)
+
+    def test_tightest_of_upper_and_singleton_row(self):
+        # 2x <= 5 bounds x by 2.5: a looser upper leaves it, a tighter wins.
+        assert solve_lp_maximize([1.0], [[2.0]], [5.0], upper=[4.0]).x.tolist() == [2.5]
+        assert solve_lp_maximize([1.0], [[2.0]], [5.0], upper=[1.0]).x.tolist() == [1.0]
+
+    def test_infinite_upper_is_no_bound(self):
+        with pytest.raises(SimplexError):
+            solve_lp_maximize([1.0], np.zeros((0, 1)), np.zeros(0), upper=[np.inf])
+
+
 class TestBlandFallback:
     def test_bland_ties_leave_by_lowest_variable_index(self):
         # Marshall and Suurballe's cycling LP, columns permuted, with x2 and
@@ -169,6 +185,14 @@ class TestErrors:
     def test_no_constraints_positive_c_unbounded(self):
         with pytest.raises(SimplexError):
             solve_lp_maximize([1.0], np.zeros((0, 1)), np.zeros(0))
+
+    def test_upper_shape_mismatch_raises(self):
+        with pytest.raises(SimplexError):
+            solve_lp_maximize([1.0], [[1.0]], [1.0], upper=[1.0, 2.0])
+
+    def test_negative_upper_raises(self):
+        with pytest.raises(SimplexError):
+            solve_lp_maximize([1.0], [[1.0]], [1.0], upper=[-1.0])
 
     def test_no_variables_returns_zero(self):
         res = solve_lp_maximize(np.zeros(0), np.zeros((2, 0)), [1.0, 2.0])
@@ -238,3 +262,22 @@ def test_random_boxed_lps_feasible_and_dominant(seed):
         # Scale x towards 0 (always feasible) until every row holds.
         x *= np.min(b[pos] / load[pos], initial=1.0) * rng.uniform(0.5, 1.0)
         assert c @ x <= res.value + 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_upper_solves_like_unit_bound_rows(seed):
+    """Bounds given as ``upper`` and the same bounds as unit rows stacked
+    on top of ``A`` (which presolve turns back into bounds) give one
+    tableau and one pivot path, bit for bit."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 7))
+    A = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(m, n))
+    b = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 3.0, size=m))
+    u = rng.uniform(0.0, 2.0, size=n)
+    c = rng.uniform(-1.0, 2.0, size=n)
+    got = solve_lp_maximize(c, A, b, upper=u)
+    want = solve_lp_maximize(c, np.vstack([np.eye(n), A]), np.concatenate([u, b]))
+    assert got.value == want.value
+    assert np.array_equal(got.x, want.x)
+    assert got.iterations == want.iterations

@@ -1,12 +1,15 @@
 """Algorithm 2 graph simplification (Section 4.2.4, Lemma 3)."""
 import pytest
+from hypothesis import example, given, settings
 
 from repro.core.graph import TemporalGraph
-from repro.core.greedy import greedy_flow
+from repro.core.greedy import greedy_flow, greedy_sink_deliveries
 from repro.core.preprocess import preprocess
 from repro.core.randgen import random_temporal_dag
 from repro.core.simplify import _find_source_chain, simplify
 from repro.maxflow_static.time_expanded import max_flow_time_expanded
+
+from .strategies import as_dag, graph, interactions
 
 
 class TestChainReduction:
@@ -167,3 +170,45 @@ def test_no_reducible_chain_left(seed):
     g = random_temporal_dag(n_vertices=8, edge_prob=0.35, seed=900 + seed)
     res = simplify(g)
     assert _find_source_chain(res.graph) is None
+
+
+def simplify_reference(g):
+    """Algorithm 2 with the whole graph rebuilt per reduction, from the
+    rows off the chain plus the deliveries: the reference the per-chain
+    loop must match bit for bit. Returns ``(rows, chains, removed)``."""
+    h, chains, removed = g, 0, 0
+    while (path := _find_source_chain(h)) is not None:
+        s, vk = path[0], path[-1]
+        on_chain = set(zip(path, path[1:]))
+        chain = [r for r in h.rows if (r[1], r[2]) in on_chain]
+        rest = [r for r in h.rows if (r[1], r[2]) not in on_chain]
+        deliveries = greedy_sink_deliveries(TemporalGraph(tuple(chain), s, vk))
+        rest += [(t, s, vk, x) for t, x in deliveries]
+        h = TemporalGraph(tuple(sorted(rest)), h.source, h.sink)
+        removed += len(path) - 2
+        chains += 1
+    return h.rows, chains, removed
+
+
+# Algorithm 2 runs on DAGs. Each example runs on the rows as a DAG, and on
+# the rows as drawn (cycles, self-loops) less those into the source: a
+# chain closing back at the source would become a source self-loop.
+@settings(max_examples=300, deadline=None)
+@given(interactions)
+@example([(0, 2, 1, 2.0), (0, 2, 5, 1.0), (2, 3, 2, 2.0), (3, 4, 3, 2.0), (0, 4, 2, 5.0), (4, 1, 8, 4.0)])  # merge
+@example([(0, 2, 1, 1.1), (0, 2, 1, 2.2), (2, 1, 2, 1.0), (2, 1, 2, 1.0), (2, 1, 3, 5.0)])  # parallel
+@example([(0, 2, 9, 5.0), (2, 3, 1, 5.0), (0, 3, 3, 1.0), (3, 1, 5, 9.0)])  # no delivery
+@example([(0, 2, 1, 3.0), (2, 3, 2, 3.0), (3, 3, 2, 1.0), (3, 1, 4, 2.0)])  # self-loop
+def test_simplify_matches_reference(rows):
+    for g in (graph(as_dag(rows)), graph([r for r in rows if r[1] != 0])):
+        res = simplify(g)
+        assert (res.graph.rows, res.chains_reduced, res.vertices_removed) == simplify_reference(g)
+        assert (res.graph.source, res.graph.sink) == (g.source, g.sink)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_simplify_matches_reference_on_random_dags(seed):
+    g = random_temporal_dag(n_vertices=8, edge_prob=0.35, seed=seed)
+    for h in (g, preprocess(g).graph):
+        res = simplify(h)
+        assert (res.graph.rows, res.chains_reduced, res.vertices_removed) == simplify_reference(h)
