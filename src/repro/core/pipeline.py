@@ -24,7 +24,7 @@ from .simplify import simplify
 from .solubility import soluble_by_greedy
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodResult:
     flow: float
     millis: float

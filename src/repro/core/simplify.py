@@ -52,7 +52,11 @@ def _source_chain(
     sink: int,
 ) -> List[int] | None:
     """:func:`_find_source_chain` on the out- and in-neighbours of each
-    vertex (lists or sets; a missing vertex has none)."""
+    vertex (lists or sets; a missing vertex has none).
+
+    Raises ``ValueError`` when the walk comes back to ``s``: the graph has
+    a cycle through the source, which a DAG never has.
+    """
     for v1 in sorted(out.get(s, ())):
         if v1 == sink or len(inc.get(v1, ())) != 1 or len(out.get(v1, ())) != 1:
             continue
@@ -60,10 +64,11 @@ def _source_chain(
         cur = v1
         while True:
             (nxt,) = out[cur]
+            if nxt == s:
+                raise ValueError("graph has a cycle through the source; Algorithm 2 needs a DAG")
             path.append(nxt)
             if (
                 nxt == sink
-                or nxt == s
                 or len(inc.get(nxt, ())) != 1
                 or len(out.get(nxt, ())) != 1
             ):

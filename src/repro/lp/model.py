@@ -19,11 +19,13 @@ of any direct source→sink interactions).
 Like lpsolve, the solver gets eq. (1) as bounds, not rows:
 :func:`flow_lp` builds the ``n × n`` eq. (2) block, its right-hand side
 and the bound vector ``q``, and :func:`solve_flow_lp` hands them to the
-simplex as they are. The eq. (2) block is built by broadcasting the
-variables' sources, destinations and timestamps against each other (one
-``n × n`` comparison per term), and ``F_v`` by a running sum of ``v``'s
-fixed inflow looked up with ``searchsorted``; no Python loop runs per
-variable pair.
+simplex as they are. Every eq. (2) coefficient is -1, 0 or +1, so the
+block is ``int8``: one byte per entry, and the simplex's float64 tableau
+is the only float ``n²``-sized array of a solve. The block is built by
+broadcasting the variables' sources, destinations and timestamps against
+each other (one ``n × n`` one-byte mask per term), and ``F_v`` by a
+running sum of ``v``'s fixed inflow looked up with ``searchsorted``; no
+Python loop runs per variable pair.
 """
 from __future__ import annotations
 
@@ -41,7 +43,8 @@ def flow_lp(
     """Build ``(c, A, b, q, constant, variables)``: the LP
     ``max c@x s.t. A@x <= b, 0 <= x <= q``.
 
-    ``A`` is the ``n × n`` eq. (2) block and ``q`` the eq. (1) bounds.
+    ``A`` is the ``n × n`` eq. (2) block, ``int8``, and ``q`` the eq. (1)
+    bounds.
     ``variables[k]`` is the interaction ``(t, src, dst, q)`` that variable
     ``k`` controls; ``constant`` is the fixed flow delivered straight from
     the source into the sink.
@@ -63,10 +66,9 @@ def flow_lp(
                 qs.append(q)
 
     c = np.zeros(n)
-    A = np.zeros((n, n))
     b = np.zeros(n)
     if n == 0:
-        return c, A, b, np.zeros(0), constant, var_rows
+        return c, np.zeros((0, 0), dtype=np.int8), b, np.zeros(0), constant, var_rows
     t, src, dst, q = (np.array(col) for col in zip(*var_rows))
     c[dst == g.sink] = 1.0
     # Eq. (2) row k, column j. Outgoing siblings at the *same* timestamp
@@ -77,10 +79,14 @@ def flow_lp(
     #   sum(group) + earlier-out - earlier-in <= fixed-in,
     # matching the time-expanded reduction and the greedy scan. Inflow
     # stays strict, so a self-loop j at v cancels to 0 unless t_j = t_k.
-    earlier_eq = t[None, :] <= t[:, None]
-    earlier = t[None, :] < t[:, None]
-    A[:] = (src[None, :] == src[:, None]) & earlier_eq
-    A -= (dst[None, :] == src[:, None]) & earlier
+    # Both terms are boolean masks, combined in place, so at most two
+    # n x n one-byte temporaries are alive beside the block.
+    A = t[None, :] <= t[:, None]
+    A &= src[None, :] == src[:, None]
+    A = A.view(np.int8)
+    inflow = dst[None, :] == src[:, None]
+    inflow &= t[None, :] < t[:, None]
+    A -= inflow.view(np.int8)
     for v, (ts, qs) in fixed_in.items():
         (ks,) = (src == v).nonzero()
         if ks.size:
@@ -91,11 +97,16 @@ def flow_lp(
 
 def build_lp(g: TemporalGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, List[Row]]:
     """The LP of :func:`flow_lp` with eq. (1) as rows: ``(c, A, b,
-    constant, variables)``, where ``A`` has ``2n`` rows, the identity
-    block of the bounds ``x_i <= q_i`` on top of the eq. (2) block.
+    constant, variables)``, where ``A`` is float64 with ``2n`` rows, the
+    identity block of the bounds ``x_i <= q_i`` on top of the eq. (2)
+    block.
 
     :func:`solve_lp_maximize` presolves the identity rows back into the
-    same bounds, so this form solves along the same pivot path.
+    same bounds, so this form solves along the same pivot path. Its
+    tableau fill gathers the kept rows as float64, a copy of up to
+    ``n × n × 8`` bytes beside the tableau; no measured path uses this
+    form, only traced replays and tests that compare it with
+    :func:`flow_lp`.
     """
     c, A2, b2, q, constant, var_rows = flow_lp(g)
     n = len(var_rows)

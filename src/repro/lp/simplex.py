@@ -9,14 +9,18 @@ solver from scratch. Scope is exactly what `repro.lp.model` produces:
 
 Like lpsolve, it takes bounds as data and keeps them out of the
 constraint matrix; the flow LP passes its eq. (1) ``x_i <= q_i`` as
-``upper``.
+``upper``. ``A`` may have any integer or floating dtype and is read in
+the dtype it has: the flow LP's ``int8`` eq. (2) block is never copied
+to float64, so the float64 tableau is the only float matrix of a solve.
 
 * **Presolve.** A row with one nonzero coefficient ``a > 0`` becomes the
   upper bound ``x_k <= b / a`` (the tightest of these and ``upper[k]``
   wins), as does the eq. (2) row of an interaction with no earlier
   siblings. A row with one negative coefficient, or none, can never bind
-  since ``x >= 0`` and ``b >= 0``, and is dropped. The tableau is filled
-  from the rows that are left, straight from ``A``.
+  since ``x >= 0`` and ``b >= 0``, and is dropped. The tableau's
+  structural block is filled from the rows that are left in one gather,
+  ``A[kept]``, which copies them in ``A``'s dtype (one byte per entry
+  for the flow LP).
 * **Bounded ratio test** (upper-bounding technique). A nonbasic variable
   at its upper bound ``u`` is substituted as ``x = u - x'``: its column is
   negated and the right-hand side shifted. The step stops at the first of
@@ -73,13 +77,17 @@ def solve_lp_maximize(
     """Solve ``max c@x s.t. A@x <= b, 0 <= x <= upper`` (requires
     ``b >= 0``; ``upper`` defaults to no bounds).
 
+    ``A`` keeps its dtype, which must be an integer or floating one; its
+    entries are promoted to float64 exactly where they enter the tableau.
     Returns the optimal value and one optimal vertex solution. Raises
     :class:`SimplexError` if the LP is unbounded (cannot happen for the
     flow LPs, whose variables are box-bounded) or the input is invalid.
     """
     c = np.asarray(c, dtype=np.float64)
-    A = np.asarray(A, dtype=np.float64)
+    A = np.asarray(A)
     b = np.asarray(b, dtype=np.float64)
+    if A.dtype.kind not in "iuf":
+        raise SimplexError(f"A must be an integer or floating array, not {A.dtype}")
     if A.ndim != 2:
         raise SimplexError("A must be 2-D")
     m, n = A.shape
@@ -100,12 +108,9 @@ def solve_lp_maximize(
     m = kept.size
     # Tableau: m rows of [A[kept] | I | b[kept]] and an objective row
     # [-c | 0 | 0]. Variable k is structural for k < n and the slack of
-    # row k - n after. The kept rows go in one at a time: every numpy
-    # gather of them (``A[kept]``, ``take`` or ``compress`` with ``out``)
-    # buffers a full copy first.
+    # row k - n after.
     T = np.zeros((m + 1, n + m + 1), dtype=np.float64)
-    for r, k in enumerate(kept):
-        T[r, :n] = A[k]
+    T[:m, :n] = A[kept]
     T[np.arange(m), n + np.arange(m)] = 1.0
     T[:m, -1] = b[kept]
     T[m, :n] = -c

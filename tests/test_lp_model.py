@@ -150,8 +150,9 @@ def test_golden_pivot_path_at_bench_size(seed):
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_PIVOT_PATHS))
 def test_flow_lp_peak_memory_at_bench_size(seed):
-    # The solver's working set is the n x n eq. (2) block plus a tableau of
-    # at most (n+1) x (2n+1): no eq. (1) rows and no copy of the kept rows.
+    # The tableau, at most (n+1) x (2n+1) float64, is the only float matrix
+    # of a solve: beside it lives the n x n eq. (2) block at one byte per
+    # entry, with no eq. (1) rows and no float copy of the kept rows.
     n = GOLDEN_PIVOT_PATHS[seed][0]
     g = bench_size_dag(seed)
     tracing = tracemalloc.is_tracing()
@@ -164,7 +165,7 @@ def test_flow_lp_peak_memory_at_bench_size(seed):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < (n * n + (n + 1) * (2 * n + 1)) * 8 * 1.1
+    assert peak < ((n + 1) * (2 * n + 1) * 8 + n * n) * 1.1
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -241,6 +242,14 @@ def test_build_lp_matches_loop_reference(rows):
     for got, want in ((c, c_ref), (A, A_ref), (b, b_ref)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
+    # flow_lp: the eq. (2) rows as an int8 block, the bound rows' right-hand
+    # sides as q.
+    n = len(var_rows)
+    _, A2, b2, q, _, _ = flow_lp(g)
+    assert A2.dtype == np.int8 and A2.shape == (n, n)
+    assert np.array_equal(A2, A_ref[n:])
+    assert np.array_equal(b2, b_ref[n:])
+    assert q.dtype == np.float64 and np.array_equal(q, b_ref[:n])
 
 
 @settings(max_examples=300, deadline=None)

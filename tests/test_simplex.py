@@ -194,6 +194,11 @@ class TestErrors:
         with pytest.raises(SimplexError):
             solve_lp_maximize([1.0], [[1.0]], [1.0], upper=[-1.0])
 
+    @pytest.mark.parametrize("A", [[["1"]], [[1.0 + 0j]]], ids=["str", "complex"])
+    def test_non_real_A_raises(self, A):
+        with pytest.raises(SimplexError):
+            solve_lp_maximize([1.0], A, [1.0])
+
     def test_no_variables_returns_zero(self):
         res = solve_lp_maximize(np.zeros(0), np.zeros((2, 0)), [1.0, 2.0])
         assert res.value == pytest.approx(0.0)
@@ -276,8 +281,10 @@ def test_upper_solves_like_unit_bound_rows(seed):
     b = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 3.0, size=m))
     u = rng.uniform(0.0, 2.0, size=n)
     c = rng.uniform(-1.0, 2.0, size=n)
-    got = solve_lp_maximize(c, A, b, upper=u)
     want = solve_lp_maximize(c, np.vstack([np.eye(n), A]), np.concatenate([u, b]))
-    assert got.value == want.value
-    assert np.array_equal(got.x, want.x)
-    assert got.iterations == want.iterations
+    # A as int8, the dtype of the flow LP's block, solves as float64 does.
+    for coeffs in (A, A.astype(np.int8)):
+        got = solve_lp_maximize(c, coeffs, b, upper=u)
+        assert got.value == want.value
+        assert np.array_equal(got.x, want.x)
+        assert got.iterations == want.iterations

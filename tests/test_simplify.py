@@ -142,6 +142,17 @@ class TestDegenerate:
         assert res.chains_reduced == 0
         assert set(res.graph.edges) == set(g.edges)
 
+    def test_cycle_through_source_raises(self):
+        # The source's only edge out closes a cycle back to it: a walk
+        # along the chain comes back to s. Algorithm 1 raises on it too.
+        g = TemporalGraph.from_interactions(
+            [(0, 2, 1, 1.0), (2, 0, 2, 1.0), (3, 1, 3, 1.0)], source=0, sink=1
+        )
+        with pytest.raises(ValueError):
+            preprocess(g)
+        with pytest.raises(ValueError):
+            simplify(g)
+
 
 @pytest.mark.parametrize("seed", range(40))
 def test_simplification_preserves_max_flow(seed):
